@@ -57,9 +57,9 @@ func BenchmarkFigure2Recovery(b *testing.B) {
 }
 
 // BenchmarkScalarRecovery and BenchmarkLanesRecovery measure trial
-// throughput of the two Monte Carlo engines on the Figure 2 recovery
-// gadget (level-1 MAJ plus recovery) at g = 10⁻³, single worker, through
-// the same harness. Per-op time is per trial, so ns/op here divided by
+// throughput of the two Monte Carlo engines, the lane engine on one-word
+// (64-lane) blocks, on the Figure 2 recovery gadget (level-1 MAJ plus
+// recovery) at g = 10⁻³, single worker, through the same harness. Per-op time is per trial, so ns/op here divided by
 // ns/op there is the engines' throughput ratio.
 //
 // The harness keeps each worker's hit/done counts in locals and publishes
@@ -81,12 +81,12 @@ func BenchmarkLanesRecovery(b *testing.B) {
 	g := revft.NewGadget(revft.MAJ, 1)
 	m := revft.UniformNoise(1e-3)
 	b.ResetTimer()
-	g.LogicalErrorRateLanes(m, b.N, 1, 1)
+	g.LogicalErrorRateWide(m, 1, b.N, 1, 1)
 }
 
 // BenchmarkLanesBare and BenchmarkLanesInstrumented bound the telemetry
-// overhead on the hottest path: the same lanes run with no registry in the
-// context versus the full instrumentation (global/per-worker/lanes trial
+// overhead on the hottest path: the same one-word lane-engine run with no
+// registry in the context versus the full instrumentation (global/per-worker/lanes trial
 // counters, sampled batch latency, per-gate-location fault tallies). The
 // budget is 2%: CI compares the two and warns when instrumented ns/op
 // exceeds bare by more than that. The design that keeps it there: harness
@@ -97,7 +97,7 @@ func BenchmarkLanesBare(b *testing.B) {
 	g := revft.NewGadget(revft.MAJ, 1)
 	m := revft.UniformNoise(1e-3)
 	b.ResetTimer()
-	if _, err := g.LogicalErrorRateLanesCtx(context.Background(), m, b.N, 1, 1); err != nil {
+	if _, err := g.LogicalErrorRateWideCtx(context.Background(), m, 1, b.N, 1, 1); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -107,15 +107,14 @@ func BenchmarkLanesInstrumented(b *testing.B) {
 	m := revft.UniformNoise(1e-3)
 	ctx := telemetry.NewContext(context.Background(), telemetry.New())
 	b.ResetTimer()
-	if _, err := g.LogicalErrorRateLanesCtx(ctx, m, b.N, 1, 1); err != nil {
+	if _, err := g.LogicalErrorRateWideCtx(ctx, m, 1, b.N, 1, 1); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkLanes256Bare and BenchmarkLanes512Bare measure the fused
-// K-word wide engine on the same gadget and noise as BenchmarkLanesBare:
-// 4- and 8-word lane blocks through the word-program compiler, with
-// MAJ/UMA triples fused and fault points grouped per sampler. ns/op is
+// BenchmarkLanes256Bare and BenchmarkLanes512Bare measure the shipped
+// lanes256 and lanes512 engines on the same gadget and noise as
+// BenchmarkLanesBare: 4- and 8-word lane blocks instead of one. ns/op is
 // still per trial, so BenchmarkLanesBare ns/op divided by these is the
 // widening speedup; CI's bench smoke step prints the ratio.
 func BenchmarkLanes256Bare(b *testing.B) {

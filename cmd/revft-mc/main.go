@@ -17,13 +17,12 @@
 //
 // -engine selects the Monte Carlo execution engine for the hot sweeps
 // (recovery, levels, local, adder): "scalar" runs one trial at a time,
-// "lanes" packs 64 bit-sliced trials per batch for roughly hardware-word
-// speedup at identical statistics, and "lanes256"/"lanes512" run 4- or
-// 8-word lane blocks through the fused word-program compiler — adjacent
-// CNOT/CNOT/Toffoli triples collapse into single MAJ/UMA kernels and
-// fault points sharing a probability share one geometric sampler, giving
-// a further per-trial speedup on top of the wider batches. Experiments
-// without a lane path ignore the flag.
+// and "lanes256"/"lanes512" pack 256 or 512 bit-sliced trials per batch
+// (4- or 8-word lane blocks) at identical statistics, through the fused
+// word-program compiler — adjacent CNOT/CNOT/Toffoli triples collapse
+// into single MAJ/UMA kernels and fault points sharing a probability
+// share one geometric sampler. Experiments without a lane path ignore the
+// flag.
 //
 // The sweep experiments (recovery, levels, local, adder) also run on a
 // resilient runtime with these flags:
@@ -102,6 +101,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -140,7 +140,7 @@ func run(args []string) error {
 		trials   = fs.Int("trials", 200000, "Monte Carlo trials per data point")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		seed     = fs.Uint64("seed", 1, "random seed")
-		engine   = fs.String("engine", exp.EngineScalar, "execution engine: scalar|lanes|lanes256|lanes512")
+		engine   = fs.String("engine", exp.EngineScalar, "execution engine: "+strings.Join(exp.Engines, "|"))
 		gmin     = fs.Float64("gmin", 1e-4, "smallest gate error rate in the sweep")
 		gmax     = fs.Float64("gmax", 3e-2, "largest gate error rate in the sweep")
 		points   = fs.Int("points", 7, "number of sweep points")
@@ -170,7 +170,7 @@ func run(args []string) error {
 	}
 
 	if !exp.ValidEngine(*engine) {
-		return fmt.Errorf("unknown engine %q (want scalar, lanes, lanes256, or lanes512)", *engine)
+		return fmt.Errorf("unknown engine %q (want %s)", *engine, strings.Join(exp.Engines, ", "))
 	}
 	// Validate everything flag-reachable here so bad values come back as
 	// usage errors, never as library panics.

@@ -85,14 +85,12 @@ func main() {
 }
 
 // drivers adapts the shardable sweep experiments to the server's Driver
-// contract. Engine validation happens here so a bad engine is a typed
-// 400 rejection, not a shard failure at run time.
+// contract. exp.ShardableSweep validates the engine against exp.Engines,
+// so a bad engine is a typed 400 rejection, not a shard failure at run
+// time.
 func drivers() map[string]server.Driver {
 	mk := func(name string) server.Driver {
 		return func(spec server.JobSpec, grid []float64) (sweep.PointFunc, int, error) {
-			if !exp.ValidEngine(spec.Engine) {
-				return nil, 0, fmt.Errorf("unknown engine %q (want scalar, lanes, lanes256, or lanes512)", spec.Engine)
-			}
 			p := exp.MCParams{Trials: spec.Trials, Workers: spec.Workers, Seed: spec.Seed, Engine: spec.Engine}
 			return exp.ShardableSweep(name, grid, spec.MaxLevel, spec.Bits, p)
 		}

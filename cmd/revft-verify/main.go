@@ -20,8 +20,8 @@
 //	               71/32), the level-1 gadget's A₂ against the independent
 //	               pair enumeration and against Eq. 1's 3·C(G,2) bound, and
 //	               a closed-form NOT-chain cross-check
-//	-differential  run the Monte Carlo engines (scalar, 64-lane, and the
-//	               fused 256-lane wide engine) against the oracle's exact
+//	-differential  run the Monte Carlo engines (scalar and the fused
+//	               256-lane lanes256 engine) against the oracle's exact
 //	               P(ε) on the recovery and the level-1 MAJ gadget, failing
 //	               if any estimate's 3σ Wilson interval misses the exact
 //	               value; -trials, -workers, and -seed control the runs
@@ -82,7 +82,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("revft-verify", flag.ContinueOnError)
 	var (
 		exactMode    = fs.Bool("exact", false, "add the exhaustive fault-enumeration oracle checks")
-		differential = fs.Bool("differential", false, "verify the Monte Carlo engines (scalar, lanes, lanes256) against the exact oracle (3σ Wilson)")
+		differential = fs.Bool("differential", false, "verify the Monte Carlo engines (scalar, lanes256) against the exact oracle (3σ Wilson)")
 		trials       = fs.Int("trials", 200000, "Monte Carlo trials per (ε, engine) differential point")
 		workers      = fs.Int("workers", 0, "parallel workers for the differential runs (0 = GOMAXPROCS)")
 		seed         = fs.Uint64("seed", 7, "base random seed for the differential runs")
@@ -279,8 +279,8 @@ func checkOracleNOTChain() error {
 	return nil
 }
 
-// runDifferential checks the three Monte Carlo engines — scalar, 64-lane,
-// and the fused 4-word (256-lane) wide engine — against the oracle on two
+// runDifferential checks the two Monte Carlo engines — scalar and the
+// fused 4-word (256-lane) lane engine — against the oracle on two
 // targets: the recovery with its fully enumerated polynomial, and the
 // level-1 MAJ gadget with a weight-3 truncation whose tail bound widens
 // the acceptance interval. It prints the verdict tables and returns the

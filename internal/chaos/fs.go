@@ -1,7 +1,8 @@
 // Package chaos is the fault-injection layer under the runtime's durable
 // I/O: a small filesystem interface (FS) that the checkpoint, trace, and
-// manifest paths write through, implementations that inject faults into
-// it, a crash-point explorer that kills the write path after every
+// manifest paths write through, WriteFileAtomic (the one durable
+// replace-a-file path on top of it), implementations that inject faults
+// into it, a crash-point explorer that kills the write path after every
 // individual operation in turn, and a retry policy for transient
 // failures.
 //

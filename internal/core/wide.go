@@ -1,12 +1,13 @@
 package core
 
-// Wide-engine estimators: the K-word lane-block counterparts of the
-// 64-lane methods in lanes.go, advancing 64·words trials per batch
-// through the fused word-program compiler (lanes.CompileWide). Estimates
-// are statistically equivalent to both other engines but not
-// bit-identical, since each engine consumes randomness in its own order.
-// Fault telemetry stays keyed by source op index, so per-gate-location
-// counters are comparable across engines regardless of fusion.
+// Lane-engine estimators: the bit-sliced counterparts of the scalar
+// Monte Carlo methods, advancing 64·words trials per batch through the
+// fused word-program compiler (lanes.CompileWide). Estimates are
+// statistically equivalent to the scalar path (same noise channel, same
+// jumped RNG streams) but not bit-identical to it, since lane blocks
+// consume randomness in a different order. Fault telemetry stays keyed by
+// source op index, so per-gate-location counters are comparable across
+// block widths regardless of fusion.
 
 import (
 	"context"
@@ -18,13 +19,30 @@ import (
 	"revft/internal/rng"
 	"revft/internal/sim"
 	"revft/internal/stats"
+	"revft/internal/telemetry"
 )
+
+// lanesInstr builds the fault-injection telemetry handles for a compiled
+// circuit from the context's registry: a total fault counter and a per-
+// gate-location vector keyed by circuit.OpLabels under
+// "lanes.op_faults.<label>". A context without an active registry yields
+// nil, which WideProgram.RunInstr treats as no instrumentation at all.
+func lanesInstr(ctx context.Context, label string, c *circuit.Circuit) *lanes.Instr {
+	reg := telemetry.Active(ctx)
+	if reg == nil {
+		return nil
+	}
+	return &lanes.Instr{
+		Faults:   reg.Counter("lanes.faults"),
+		OpFaults: reg.CounterVec("lanes.op_faults."+label, c.OpLabels()),
+	}
+}
 
 // wideBatch compiles the gadget once for a words-wide lane block and
 // returns the wide batch trial: encode 64·words uniformly random logical
 // inputs lane-wise, run the compiled fused program, decode with
 // word-parallel recursive majority.
-func (g *Gadget) wideBatch(ctx context.Context, m noise.Model, words int) sim.WideBatchTrial {
+func (g *Gadget) wideBatch(ctx context.Context, m noise.Model, words int) sim.LaneBatch {
 	prog := lanes.CompileWide(g.Circuit, m, words)
 	in := lanesInstr(ctx, fmt.Sprintf("gadget.%s.L%d", g.Kind, g.Level), g.Circuit)
 	nin := len(g.In)
@@ -59,9 +77,8 @@ func (g *Gadget) wideBatch(ctx context.Context, m noise.Model, words int) sim.Wi
 	}
 }
 
-// LogicalErrorRateWide estimates g_logical like LogicalErrorRateLanes,
-// but on the fused words-wide lane-block engine (64·words trials per
-// batch).
+// LogicalErrorRateWide estimates g_logical like LogicalErrorRate, but on
+// the fused words-wide lane-block engine (64·words trials per batch).
 func (g *Gadget) LogicalErrorRateWide(m noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
 	return sim.MonteCarloWide(trials, workers, seed, words, g.wideBatch(context.Background(), m, words))
 }
@@ -74,7 +91,7 @@ func (g *Gadget) LogicalErrorRateWideCtx(ctx context.Context, m noise.Model, wor
 
 // wideModuleBatch compiles the module once for the fixed logical input;
 // all lanes carry the same input, the noise differs per lane.
-func (m *Module) wideModuleBatch(ctx context.Context, in uint64, nm noise.Model, words int) sim.WideBatchTrial {
+func (m *Module) wideModuleBatch(ctx context.Context, in uint64, nm noise.Model, words int) sim.LaneBatch {
 	prog := lanes.CompileWide(m.Physical, nm, words)
 	instr := lanesInstr(ctx, "module", m.Physical)
 	want := m.Logical.Eval(in)
@@ -105,7 +122,7 @@ func (m *Module) wideModuleBatch(ctx context.Context, in uint64, nm noise.Model,
 }
 
 // ErrorRateWide estimates the module's logical failure probability on the
-// given input like ErrorRateLanes, but on the wide engine.
+// given input like ErrorRate, but on the wide engine.
 func (m *Module) ErrorRateWide(in uint64, nm noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
 	return sim.MonteCarloWide(trials, workers, seed, words, m.wideModuleBatch(context.Background(), in, nm, words))
 }
@@ -117,7 +134,7 @@ func (m *Module) ErrorRateWideCtx(ctx context.Context, in uint64, nm noise.Model
 
 // wideUnprotectedBatch compiles the bare logical circuit under noise — no
 // encoding, no recovery.
-func wideUnprotectedBatch(ctx context.Context, logical *circuit.Circuit, in uint64, nm noise.Model, words int) sim.WideBatchTrial {
+func wideUnprotectedBatch(ctx context.Context, logical *circuit.Circuit, in uint64, nm noise.Model, words int) sim.LaneBatch {
 	prog := lanes.CompileWide(logical, nm, words)
 	instr := lanesInstr(ctx, "unprotected", logical)
 	want := logical.Eval(in)
@@ -145,8 +162,7 @@ func wideUnprotectedBatch(ctx context.Context, logical *circuit.Circuit, in uint
 	}
 }
 
-// UnprotectedErrorRateWide is UnprotectedErrorRateLanes on the wide
-// engine.
+// UnprotectedErrorRateWide is UnprotectedErrorRate on the wide engine.
 func UnprotectedErrorRateWide(logical *circuit.Circuit, in uint64, nm noise.Model, words, trials, workers int, seed uint64) stats.Bernoulli {
 	return sim.MonteCarloWide(trials, workers, seed, words, wideUnprotectedBatch(context.Background(), logical, in, nm, words))
 }

@@ -2,10 +2,10 @@ package exp
 
 // Differential verification: the Monte Carlo engines against the exact
 // fault-enumeration oracle. For a grid of ε values the harness runs the
-// scalar and the 64-lane engines — and, when requested, a fused K-word
-// wide engine — on the same target and requires each estimate's 3σ Wilson
-// interval to intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail]
-// — a point for full enumerations. One engine disagreeing fingers that
+// scalar engine — and, when requested, a fused K-word lane engine — on
+// the same target and requires each estimate's 3σ Wilson interval to
+// intersect the oracle's exact interval [P_W(ε), P_W(ε)+tail] — a point
+// for full enumerations. One engine disagreeing fingers that
 // engine; all disagreeing fingers the model or the oracle. revft-verify
 // -differential and the exact-verify CI job run this; the property tests
 // in this package run it on random circuits.
@@ -54,48 +54,12 @@ func TargetTrial(t exact.Target, m noise.Model) func(*rng.RNG) bool {
 	}
 }
 
-// TargetBatch returns the 64-lane engine's batch trial for the same
-// experiment: uniform logical inputs per lane, one compiled noisy run per
-// batch, word-parallel decode. The ideal reference is computed per lane
-// through t.Logical, so any logical function — not just single gates —
-// can be verified.
-func TargetBatch(t exact.Target, m noise.Model) sim.BatchTrial {
-	prog := lanes.Compile(t.Circuit, m)
-	nin, nout := len(t.In), len(t.Out)
-	return func(r *rng.RNG) uint64 {
-		st := lanes.NewState(t.Circuit.Width())
-		ins := make([]uint64, nin)
-		for i := range ins {
-			ins[i] = r.Uint64()
-		}
-		for i, wires := range t.In {
-			lanes.Encode(st, wires, ins[i])
-		}
-		prog.Run(st, r)
-		want := make([]uint64, nout)
-		for lane := 0; lane < 64; lane++ {
-			var in uint64
-			for i := 0; i < nin; i++ {
-				in |= ins[i] >> uint(lane) & 1 << uint(i)
-			}
-			w := t.Logical(in)
-			for o := 0; o < nout; o++ {
-				want[o] |= w >> uint(o) & 1 << uint(lane)
-			}
-		}
-		var fail uint64
-		for i, wires := range t.Out {
-			fail |= lanes.Decode(st, wires) ^ want[i]
-		}
-		return fail
-	}
-}
-
-// TargetBatchWide is TargetBatch on a words-wide lane block: the target
-// is compiled through the fused word-program compiler and each batch
-// covers 64·words lanes, with the per-lane ideal reference computed
-// through t.Logical word by word.
-func TargetBatchWide(t exact.Target, m noise.Model, words int) sim.WideBatchTrial {
+// TargetBatchWide returns the lane engine's batch trial for the same
+// experiment on a words-wide lane block: uniform logical inputs per lane,
+// one compiled noisy run per batch covering 64·words lanes, word-parallel
+// decode. The ideal reference is computed per lane through t.Logical, so
+// any logical function — not just single gates — can be verified.
+func TargetBatchWide(t exact.Target, m noise.Model, words int) sim.LaneBatch {
 	prog := lanes.CompileWide(t.Circuit, m, words)
 	nin, nout := len(t.In), len(t.Out)
 	return func(r *rng.RNG, hit []uint64) {
@@ -152,24 +116,25 @@ func blockLevels(blocks [][]int) []int {
 // DiffPoint is the differential verdict at one ε: the oracle's exact
 // interval, each engine's estimate, and whether each engine's 3σ Wilson
 // interval intersects the exact one. Wide/WideOK are only meaningful when
-// the run requested a wide engine; WideLanes records its lane count
+// the run requested a lane engine; WideLanes records its lane count
 // (64·words) then, and is 0 otherwise.
 type DiffPoint struct {
-	Eps               float64
-	ExactLo, ExactHi  float64
-	Scalar, Lanes     stats.Bernoulli
-	ScalarOK, LanesOK bool
-	Wide              stats.Bernoulli
-	WideOK            bool
-	WideLanes         int
+	Eps              float64
+	ExactLo, ExactHi float64
+	Scalar           stats.Bernoulli
+	ScalarOK         bool
+	Wide             stats.Bernoulli
+	WideOK           bool
+	WideLanes        int
 }
 
 // Differential runs the engines against poly at every ε in eps and
 // returns the per-ε verdicts. poly must come from Enumerate on t (its
 // SkipInit flag selects the matching noise accounting). wideWords > 0
-// adds a third run per ε on the fused wideWords-word lane-block engine;
-// 0 keeps the original two-engine check and its exact seed streams
-// (seed strides 2 per ε without the wide engine, 3 with it). Each
+// adds a run per ε on the fused wideWords-word lane-block engine. The ε
+// at index i seeds the scalar run with Seed+2i, or with Seed+3i when a
+// lane run is requested, which then takes Seed+3i+2; these strides keep
+// every verdict reproducible across releases of the harness. Each
 // (ε, engine) verdict is also emitted as a "differential" trace event
 // when tr is non-nil. The run is cancellable; on cancellation the
 // completed points are returned with the error.
@@ -193,14 +158,6 @@ func Differential(ctx context.Context, t exact.Target, poly *exact.Poly, eps []f
 		pt.Scalar = scalar.Bernoulli
 		pt.ScalarOK = overlapsExact(pt.Scalar, lo, hi)
 		emitDifferential(tr, t.Name, pt, "scalar", pt.Scalar, pt.ScalarOK)
-		if err != nil {
-			out = append(out, pt)
-			return out, err
-		}
-		lanesRes, err := sim.MonteCarloLanesCtx(ctx, p.Trials, p.Workers, p.Seed+uint64(stride*i+1), TargetBatch(t, m))
-		pt.Lanes = lanesRes.Bernoulli
-		pt.LanesOK = overlapsExact(pt.Lanes, lo, hi)
-		emitDifferential(tr, t.Name, pt, "lanes", pt.Lanes, pt.LanesOK)
 		if err != nil {
 			out = append(out, pt)
 			return out, err
@@ -244,7 +201,7 @@ func emitDifferential(tr *telemetry.Trace, target string, pt DiffPoint, engine s
 
 // DifferentialTable renders the verdicts, with one note per disagreement
 // and the count of failing (ε, engine) checks in the returned int. When
-// the points carry wide-engine results (WideLanes > 0), the table grows a
+// the points carry lane-engine results (WideLanes > 0), the table grows a
 // column pair for that engine.
 func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Table, int) {
 	kind := "exact"
@@ -258,7 +215,7 @@ func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Tabl
 			break
 		}
 	}
-	header := []string{"eps", "exact P(eps)", "scalar", "scalar ok", "lanes", "lanes ok"}
+	header := []string{"eps", "exact P(eps)", "scalar", "scalar ok"}
 	if wideName != "" {
 		header = append(header, wideName, wideName+" ok")
 	}
@@ -273,19 +230,16 @@ func DifferentialTable(t exact.Target, poly *exact.Poly, pts []DiffPoint) (*Tabl
 		if pt.ExactHi > pt.ExactLo {
 			ex = fmt.Sprintf("[%.4g, %.4g]", pt.ExactLo, pt.ExactHi)
 		}
-		row := []any{pt.Eps, ex, pt.Scalar.Rate(), pt.ScalarOK, pt.Lanes.Rate(), pt.LanesOK}
-		engines := []struct {
+		row := []any{pt.Eps, ex, pt.Scalar.Rate(), pt.ScalarOK}
+		type verdict struct {
 			name string
 			b    stats.Bernoulli
 			ok   bool
-		}{{"scalar", pt.Scalar, pt.ScalarOK}, {"lanes", pt.Lanes, pt.LanesOK}}
+		}
+		engines := []verdict{{"scalar", pt.Scalar, pt.ScalarOK}}
 		if wideName != "" {
 			row = append(row, pt.Wide.Rate(), pt.WideOK)
-			engines = append(engines, struct {
-				name string
-				b    stats.Bernoulli
-				ok   bool
-			}{wideName, pt.Wide, pt.WideOK})
+			engines = append(engines, verdict{wideName, pt.Wide, pt.WideOK})
 		}
 		tab.AddRow(row...)
 		for _, e := range engines {

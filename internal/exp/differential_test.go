@@ -14,20 +14,21 @@ import (
 )
 
 // TestLanesKernelsMatchScalarLaneForLane drives random circuits through
-// the lanes word kernels noiselessly and compares every lane against the
-// scalar table-driven evaluation — trial-for-trial bit equality, the
-// strictest engine-equivalence statement short of noise.
+// the lane engine's word kernels (one-word blocks) noiselessly and
+// compares every lane against the scalar table-driven evaluation —
+// trial-for-trial bit equality, the strictest engine-equivalence
+// statement short of noise.
 func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := rng.New(seed)
 		width := 1 + r.Intn(8)
 		c := circuit.Random(r, width, 1+r.Intn(12), nil)
-		prog := lanes.Compile(c, noise.Uniform(0))
-		st := lanes.NewState(width)
-		for w := range st {
-			st[w] = r.Uint64()
+		prog := lanes.CompileWide(c, noise.Uniform(0), 1)
+		st := lanes.NewWideState(width, 1)
+		for w := range st.W {
+			st.W[w] = r.Uint64()
 		}
-		orig := append(lanes.State(nil), st...)
+		orig := append([]uint64(nil), st.W...)
 		prog.RunNoiseless(st)
 		for lane := 0; lane < 64; lane++ {
 			var in uint64
@@ -37,7 +38,7 @@ func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 			want := c.Eval(in)
 			var got uint64
 			for w := 0; w < width; w++ {
-				got |= st[w] >> uint(lane) & 1 << uint(w)
+				got |= st.W[w] >> uint(lane) & 1 << uint(w)
 			}
 			if got != want {
 				t.Fatalf("seed %d lane %d: in %0*b → lanes %0*b, scalar %0*b",
@@ -48,11 +49,11 @@ func TestLanesKernelsMatchScalarLaneForLane(t *testing.T) {
 }
 
 // TestEnginesMatchExactOnRandomCircuits is the randomized differential
-// property test: on circuits nobody hand-picked, all three engines'
-// estimates must land inside a generous Wilson interval of the oracle's
-// exact failure probability. The trial count is deliberately not a
-// multiple of 64 (or 256) so the lane engines' partial-batch tail masking
-// is exercised every run; ε = 1 exercises the always-fault mask path.
+// property test: on circuits nobody hand-picked, both engines' estimates
+// must land inside a generous Wilson interval of the oracle's exact
+// failure probability. The trial count is deliberately not a multiple of
+// 256 so the lane engine's partial-batch tail masking is exercised every
+// run; ε = 1 exercises the always-fault path.
 func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 	const trials = 20011 // prime: every lane-engine run ends in a partial batch
 	for seed := uint64(1); seed <= 6; seed++ {
@@ -73,9 +74,9 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 				t.Fatal(err)
 			}
 			pt := pts[0]
-			if pt.Scalar.Trials != trials || pt.Lanes.Trials != trials || pt.Wide.Trials != trials {
-				t.Fatalf("seed %d: trial counts %d/%d/%d, want %d",
-					seed, pt.Scalar.Trials, pt.Lanes.Trials, pt.Wide.Trials, trials)
+			if pt.Scalar.Trials != trials || pt.Wide.Trials != trials {
+				t.Fatalf("seed %d: trial counts %d/%d, want %d",
+					seed, pt.Scalar.Trials, pt.Wide.Trials, trials)
 			}
 			if pt.WideLanes != 256 {
 				t.Fatalf("seed %d: WideLanes = %d, want 256", seed, pt.WideLanes)
@@ -87,7 +88,7 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 				b    interface {
 					Wilson(float64) (float64, float64)
 				}
-			}{{"scalar", pt.Scalar}, {"lanes", pt.Lanes}, {"lanes256", pt.Wide}} {
+			}{{"scalar", pt.Scalar}, {"lanes256", pt.Wide}} {
 				lo, hi := e.b.Wilson(4)
 				if p < lo || p > hi {
 					t.Errorf("seed %d ε=%v %s: exact %v outside 4σ Wilson [%v, %v]",
@@ -99,7 +100,7 @@ func TestEnginesMatchExactOnRandomCircuits(t *testing.T) {
 }
 
 // TestDifferentialRecovery pins the full harness on the §2.2 recovery
-// circuit: full enumeration, all three engines (wideWords = 8 adds the
+// circuit: full enumeration, both engines (wideWords = 8 selects the
 // 512-lane fused engine), 3σ acceptance at every ε — engine estimates
 // pinned to the oracle's exact values.
 func TestDifferentialRecovery(t *testing.T) {

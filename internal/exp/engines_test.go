@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"context"
+	"fmt"
 	"testing"
 
 	"revft/internal/adder"
@@ -8,13 +10,15 @@ import (
 	"revft/internal/gate"
 	"revft/internal/lattice"
 	"revft/internal/noise"
+	"revft/internal/sim"
 	"revft/internal/stats"
 )
 
-// Lane-vs-scalar equivalence: on identical sweeps the two engines must
-// produce estimates whose 95% Wilson intervals overlap at every point.
-// The engines consume randomness differently, so bit-identical agreement
-// is neither expected nor required.
+// Lane-vs-scalar equivalence: on identical sweeps the lane engine, here
+// on one-word (64-lane) blocks, and the scalar engine must produce
+// estimates whose 95% Wilson intervals overlap at every point. The
+// engines consume randomness differently, so bit-identical agreement is
+// neither expected nor required.
 
 func requireOverlap(t *testing.T, what string, g float64, scalar, lane stats.Bernoulli) {
 	t.Helper()
@@ -33,7 +37,7 @@ func TestGadgetEnginesEquivalentSweep(t *testing.T) {
 		m := noise.Uniform(g)
 		seed := uint64(100 + i)
 		scalar := gad.LogicalErrorRate(m, trials, 4, seed)
-		lane := gad.LogicalErrorRateLanes(m, trials, 4, seed)
+		lane := gad.LogicalErrorRateWide(m, 1, trials, 4, seed)
 		if lane.Trials != trials {
 			t.Fatalf("lane engine ran %d trials, want %d", lane.Trials, trials)
 		}
@@ -54,8 +58,10 @@ func TestCycleEnginesEquivalent(t *testing.T) {
 			m := noise.Uniform(g)
 			seed := uint64(200 + i)
 			scalar := cycleErrorRate(tc.cycle, m, trials, 4, seed)
-			lane := cycleErrorRateLanes(tc.cycle, m, trials, 4, seed)
-			requireOverlap(t, tc.name+" cycle", g, scalar, lane)
+			for _, words := range []int{1, 4} {
+				lane := sim.MonteCarloWide(trials, 4, seed, words, cycleBatchWide(context.Background(), "cycle", tc.cycle, m, words))
+				requireOverlap(t, fmt.Sprintf("%s cycle (words=%d)", tc.name, words), g, scalar, lane)
+			}
 		}
 	}
 }
@@ -70,20 +76,18 @@ func TestModuleEnginesEquivalent(t *testing.T) {
 		seed := uint64(300 + i)
 		requireOverlap(t, "FT adder module", g,
 			m.ErrorRate(in, nm, trials, 4, seed),
-			m.ErrorRateLanes(in, nm, trials, 4, seed))
+			m.ErrorRateWide(in, nm, 1, trials, 4, seed))
 		requireOverlap(t, "bare adder", g,
 			core.UnprotectedErrorRate(logical, in, nm, trials, 4, seed),
-			core.UnprotectedErrorRateLanes(logical, in, nm, trials, 4, seed))
+			core.UnprotectedErrorRateWide(logical, in, nm, 1, trials, 4, seed))
 	}
 }
 
-// TestDriversAcceptLanesEngine smoke-tests the four routed drivers with
-// Engine set, checking table shape and the paper's qualitative claims.
+// TestDriversAcceptLanesEngine smoke-tests the four routed drivers on the
+// lanes256 engine, checking table shape and the paper's qualitative
+// claims.
 func TestDriversAcceptLanesEngine(t *testing.T) {
-	p := MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes}
-	if !p.useLanes() {
-		t.Fatal("EngineLanes not recognized")
-	}
+	p := MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes256}
 
 	tb := Recovery([]float64{2e-3}, p)
 	if len(tb.Rows) != 1 {
@@ -91,20 +95,20 @@ func TestDriversAcceptLanesEngine(t *testing.T) {
 	}
 	// Below threshold the bound must hold and the gadget must win.
 	if tb.Rows[0][4] != "true" || tb.Rows[0][5] != "true" {
-		t.Fatalf("lanes Recovery below threshold failed: %v", tb.Rows[0])
+		t.Fatalf("lanes256 Recovery below threshold failed: %v", tb.Rows[0])
 	}
 
-	tb = Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes})
+	tb = Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes256})
 	if len(tb.Rows) != 2 {
 		t.Fatalf("Levels rows = %d", len(tb.Rows))
 	}
 
-	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes})
+	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes256})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Local rows = %d", len(tb.Rows))
 	}
 
-	tb = AdderModule(2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes})
+	tb = AdderModule(2, []float64{2e-3}, MCParams{Trials: 5000, Seed: 6, Engine: EngineLanes256})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("AdderModule rows = %d", len(tb.Rows))
 	}

@@ -8,13 +8,12 @@ import (
 	"revft/internal/core"
 	"revft/internal/gate"
 	"revft/internal/noise"
-	"revft/internal/sim"
 	"revft/internal/telemetry"
 )
 
-// Wide-vs-scalar equivalence: the fused K-word engines must agree with
-// the scalar engine under the same 95% Wilson overlap criterion as the
-// 64-lane engine.
+// Wide-vs-scalar equivalence: the shipped 4- and 8-word blocks must agree
+// with the scalar engine under the same 95% Wilson overlap criterion as
+// the one-word blocks in engines_test.go.
 
 func TestGadgetWideEnginesEquivalentSweep(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
@@ -50,8 +49,11 @@ func TestModuleWideEnginesEquivalent(t *testing.T) {
 	}
 }
 
-// TestDriversAcceptWideEngines smoke-tests the routed drivers with the
-// lanes256/lanes512 engines, mirroring TestDriversAcceptLanesEngine.
+// TestDriversAcceptWideEngines pins the engine list and smoke-tests the
+// routed drivers on the lanes512 engine, mirroring
+// TestDriversAcceptLanesEngine. The retired 64-lane name "lanes" is
+// rejected, by ValidEngine and by the server-facing ShardableSweep, rather
+// than falling back to another engine.
 func TestDriversAcceptWideEngines(t *testing.T) {
 	if w := (MCParams{Engine: EngineLanes256}).wideWords(); w != 4 {
 		t.Fatalf("lanes256 wideWords = %d, want 4", w)
@@ -59,24 +61,29 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 	if w := (MCParams{Engine: EngineLanes512}).wideWords(); w != 8 {
 		t.Fatalf("lanes512 wideWords = %d, want 8", w)
 	}
-	if w := (MCParams{Engine: EngineLanes}).wideWords(); w != 0 {
-		t.Fatalf("lanes wideWords = %d, want 0", w)
-	}
-	for _, name := range []string{"", EngineScalar, EngineLanes, EngineLanes256, EngineLanes512} {
+	for _, name := range append([]string{""}, Engines...) {
 		if !ValidEngine(name) {
 			t.Fatalf("ValidEngine(%q) = false", name)
 		}
+		if _, _, err := ShardableSweep("recovery", []float64{1e-3}, 0, 0, MCParams{Trials: 1, Engine: name}); err != nil {
+			t.Fatalf("ShardableSweep(engine %q): %v", name, err)
+		}
 	}
-	if ValidEngine("lanes128") {
-		t.Fatal("ValidEngine accepted an unknown engine")
+	for _, name := range []string{"lanes", "lanes128", "Scalar"} {
+		if ValidEngine(name) {
+			t.Fatalf("ValidEngine accepted unknown engine %q", name)
+		}
+		if _, _, err := ShardableSweep("recovery", []float64{1e-3}, 0, 0, MCParams{Trials: 1, Engine: name}); err == nil {
+			t.Fatalf("ShardableSweep accepted unknown engine %q", name)
+		}
 	}
 
-	tb := Recovery([]float64{2e-3}, MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes256})
+	tb := Recovery([]float64{2e-3}, MCParams{Trials: 30000, Seed: 9, Engine: EngineLanes512})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Recovery rows = %d", len(tb.Rows))
 	}
 	if tb.Rows[0][4] != "true" || tb.Rows[0][5] != "true" {
-		t.Fatalf("lanes256 Recovery below threshold failed: %v", tb.Rows[0])
+		t.Fatalf("lanes512 Recovery below threshold failed: %v", tb.Rows[0])
 	}
 
 	tb = Levels([]float64{2e-3}, 1, MCParams{Trials: 2000, Seed: 4, Engine: EngineLanes512})
@@ -84,7 +91,7 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 		t.Fatalf("Levels rows = %d", len(tb.Rows))
 	}
 
-	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes256})
+	tb = Local([]float64{1e-3}, MCParams{Trials: 2000, Seed: 5, Engine: EngineLanes512})
 	if len(tb.Rows) != 1 {
 		t.Fatalf("Local rows = %d", len(tb.Rows))
 	}
@@ -99,8 +106,8 @@ func TestDriversAcceptWideEngines(t *testing.T) {
 // p = 1 every op faults in every simulated lane slot, so the fault
 // counter must equal ops × lanes.slots — not ops × lanes.trials — and a
 // per-trial fault rate normalized by lanes.slots comes out exactly 1 per
-// op. trials = 65 forces a partial final batch on every engine, so the
-// two denominators genuinely differ.
+// op. trials = 65 forces a partial final batch at every block width, so
+// the two denominators genuinely differ.
 func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 	gad := core.NewGadget(gate.MAJ, 1)
 	ops := int64(gad.Circuit.Len())
@@ -110,19 +117,13 @@ func TestLaneFaultTelemetryCountsSlots(t *testing.T) {
 		words  int
 		slots  int64
 	}{
-		{"lanes", 0, 128},    // two 64-lane batches
+		{"words=1", 1, 128},  // two 64-lane batches
 		{"lanes256", 4, 256}, // one 256-lane block
 		{"lanes512", 8, 512}, // one 512-lane block
 	} {
 		reg := telemetry.New()
 		ctx := telemetry.NewContext(context.Background(), reg)
-		var res sim.Result
-		var err error
-		if tc.words > 0 {
-			res, err = gad.LogicalErrorRateWideCtx(ctx, noise.Uniform(1), tc.words, trials, 1, 3)
-		} else {
-			res, err = gad.LogicalErrorRateLanesCtx(ctx, noise.Uniform(1), trials, 1, 3)
-		}
+		res, err := gad.LogicalErrorRateWideCtx(ctx, noise.Uniform(1), tc.words, trials, 1, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.engine, err)
 		}

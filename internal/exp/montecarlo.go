@@ -3,6 +3,7 @@ package exp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"revft/internal/bitvec"
 	"revft/internal/code"
@@ -23,9 +24,6 @@ const (
 	// EngineScalar runs one trial at a time (sim.MonteCarlo). The empty
 	// string selects it too.
 	EngineScalar = "scalar"
-	// EngineLanes runs 64 bit-sliced trials per batch
-	// (sim.MonteCarloLanes with the internal/lanes word kernels).
-	EngineLanes = "lanes"
 	// EngineLanes256 runs 256 bit-sliced trials per batch on 4-word lane
 	// blocks through the fused word-program compiler (lanes.CompileWide).
 	EngineLanes256 = "lanes256"
@@ -33,14 +31,14 @@ const (
 	EngineLanes512 = "lanes512"
 )
 
+// Engines lists every engine name MCParams.Engine accepts, in the order
+// help and error texts print them.
+var Engines = []string{EngineScalar, EngineLanes256, EngineLanes512}
+
 // ValidEngine reports whether name selects a known engine ("" selects
 // EngineScalar).
 func ValidEngine(name string) bool {
-	switch name {
-	case "", EngineScalar, EngineLanes, EngineLanes256, EngineLanes512:
-		return true
-	}
-	return false
+	return name == "" || slices.Contains(Engines, name)
 }
 
 // MCParams controls the Monte Carlo experiment drivers.
@@ -52,15 +50,12 @@ type MCParams struct {
 	// Seed makes every experiment reproducible.
 	Seed uint64
 	// Engine selects the execution engine for the drivers that support
-	// more than one: EngineScalar (default), EngineLanes, EngineLanes256,
-	// or EngineLanes512. The engines agree statistically but consume
+	// more than one: EngineScalar (default), EngineLanes256, or
+	// EngineLanes512. The engines agree statistically but consume
 	// randomness differently, so switching engines changes individual
 	// estimates within their confidence intervals.
 	Engine string
 }
-
-// useLanes reports whether the 64-lane engine was requested.
-func (p MCParams) useLanes() bool { return p.Engine == EngineLanes }
 
 // wideWords returns the lane-block word count of the wide engines (4 for
 // EngineLanes256, 8 for EngineLanes512) and 0 for every other engine.
@@ -134,52 +129,13 @@ func cycleErrorRate(c *lattice.Cycle, m noise.Model, trials, workers int, seed u
 	return sim.MonteCarlo(trials, workers, seed, cycleTrial(c, m))
 }
 
-// cycleBatch compiles the cycle once and returns the 64-lane batch trial:
-// random logical inputs per lane, one compiled noisy run per batch,
-// word-parallel majority decode. When ctx carries a telemetry registry,
-// fault events are tallied per gate location under
+// cycleBatchWide compiles the cycle once through the fused word-program
+// compiler and returns the batch trial on a words-wide lane block: random
+// logical inputs per lane, one compiled noisy run per batch advancing
+// 64·words trials, word-parallel majority decode. When ctx carries a
+// telemetry registry, fault events are tallied per gate location under
 // "lanes.op_faults.<label>" (label is "cycle2d" or "cycle1d").
-func cycleBatch(ctx context.Context, label string, c *lattice.Cycle, m noise.Model) sim.BatchTrial {
-	prog := lanes.Compile(c.Circuit, m)
-	var instr *lanes.Instr
-	if reg := telemetry.Active(ctx); reg != nil {
-		instr = &lanes.Instr{
-			Faults:   reg.Counter("lanes.faults"),
-			OpFaults: reg.CounterVec("lanes.op_faults."+label, c.Circuit.OpLabels()),
-		}
-	}
-	nin := len(c.In)
-	return func(r *rng.RNG) uint64 {
-		st := lanes.NewState(c.Circuit.Width())
-		ins := make([]uint64, nin)
-		for i := range ins {
-			ins[i] = r.Uint64()
-		}
-		for i, wires := range c.In {
-			lanes.Encode(st, wires, ins[i])
-		}
-		prog.RunInstr(st, r, instr)
-		want := make([]uint64, nin)
-		copy(want, ins)
-		lanes.Eval(c.Kind, want)
-		var fail uint64
-		for i, wires := range c.Out {
-			fail |= lanes.Decode(st, wires) ^ want[i]
-		}
-		return fail
-	}
-}
-
-// cycleErrorRateLanes is cycleErrorRate on the 64-lane engine.
-func cycleErrorRateLanes(c *lattice.Cycle, m noise.Model, trials, workers int, seed uint64) stats.Bernoulli {
-	return sim.MonteCarloLanes(trials, workers, seed, cycleBatch(context.Background(), "cycle", c, m))
-}
-
-// cycleBatchWide is cycleBatch on a words-wide lane block: the cycle is
-// compiled once through the fused word-program compiler and each batch
-// advances 64·words trials. Telemetry keys match cycleBatch — per-source-op
-// fault counters are unaffected by fusion.
-func cycleBatchWide(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, words int) sim.WideBatchTrial {
+func cycleBatchWide(ctx context.Context, label string, c *lattice.Cycle, m noise.Model, words int) sim.LaneBatch {
 	prog := lanes.CompileWide(c.Circuit, m, words)
 	var instr *lanes.Instr
 	if reg := telemetry.Active(ctx); reg != nil {

@@ -9,6 +9,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"revft/internal/sweep"
 )
@@ -18,8 +19,12 @@ import (
 // maxLevel and bits parameterize the levels and adder experiments and are
 // ignored by the others. The point function is exactly the one the Ctx
 // table drivers run, so a job server partitioning its points reproduces
-// the CLI's numbers bit for bit.
+// the CLI's numbers bit for bit. An unknown p.Engine is an error, never a
+// silent fallback to another engine.
 func ShardableSweep(experiment string, gs []float64, maxLevel, bits int, p MCParams) (sweep.PointFunc, int, error) {
+	if !ValidEngine(p.Engine) {
+		return nil, 0, fmt.Errorf("exp: unknown engine %q (want %s)", p.Engine, strings.Join(Engines, ", "))
+	}
 	if len(gs) == 0 {
 		return nil, 0, fmt.Errorf("exp: shardable sweep %q: empty grid", experiment)
 	}

@@ -180,10 +180,10 @@ func TestLevelsAdderLocalCtxComplete(t *testing.T) {
 }
 
 // TestLanesEngineResumeIdentical: the bit-identity contract holds on the
-// lanes engine too.
+// lanes256 engine too.
 func TestLanesEngineResumeIdentical(t *testing.T) {
 	gs := []float64{1e-3, 1e-2}
-	p := MCParams{Trials: 30000, Workers: 2, Seed: 13, Engine: EngineLanes}
+	p := MCParams{Trials: 30000, Workers: 2, Seed: 13, Engine: EngineLanes256}
 	ck := filepath.Join(t.TempDir(), "ck.json")
 
 	full, err := LocalCtx(context.Background(), gs, p, SweepOptions{})
@@ -220,13 +220,13 @@ func TestRecoveryTelemetryAgreesWithTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	gs := []float64{1e-3, 1e-2}
-	p := MCParams{Trials: 2000, Workers: 2, Seed: 11, Engine: EngineLanes}
+	p := MCParams{Trials: 2000, Workers: 2, Seed: 11, Engine: EngineLanes256}
 	o := SweepOptions{Metrics: reg, Trace: tr, Manifest: man}
 	if _, err := RecoveryCtx(context.Background(), gs, p, o); err != nil {
 		t.Fatal(err)
 	}
 
-	// Registry: every point ran its full fixed budget on the lanes engine.
+	// Registry: every point ran its full fixed budget on the lane engine.
 	snap := reg.Snapshot()
 	wantTrials := int64(len(gs) * p.Trials)
 	if got := snap.Counters[telemetry.TrialsMetric]; got != wantTrials {
@@ -283,10 +283,10 @@ func TestRecoveryTelemetryAgreesWithTable(t *testing.T) {
 }
 
 // TestLocalTelemetryLabelsCycles: the local sweep tallies per-op faults
-// under separate cycle2d/cycle1d vectors on the lanes engine.
+// under separate cycle2d/cycle1d vectors on the lane engine.
 func TestLocalTelemetryLabelsCycles(t *testing.T) {
 	reg := telemetry.New()
-	p := MCParams{Trials: 1500, Workers: 1, Seed: 3, Engine: EngineLanes}
+	p := MCParams{Trials: 1500, Workers: 1, Seed: 3, Engine: EngineLanes256}
 	if _, err := LocalCtx(context.Background(), []float64{2e-2}, p, SweepOptions{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,11 @@
 package lanes
 
-// The wide engine: the second compilation stage of this package. Where
-// Program advances 64 trials per batch — one uint64 per wire, one
-// interpreter dispatch and one Bernoulli mask draw per op — WideProgram
-// lowers the same circuit further:
+// The engine's compiler and interpreter. CompileWide lowers a circuit in
+// four ways:
 //
-//   - Lane blocks widen from one word to K words per wire (K = 4 and 8 in
-//     the shipped engines: 256 and 512 trial lanes), so each dispatch
-//     advances K·64 trials and the interpreter walk amortizes K-fold.
+//   - Lane blocks are K words per wire (K = 4 and 8 in the shipped
+//     engines: 256 and 512 trial lanes), so each dispatch advances K·64
+//     trials and the interpreter walk amortizes K-fold.
 //   - Adjacent word ops are fused: the Figure 1 decomposition
 //     CNOT·CNOT·Toffoli (a MAJ), its inverse, and the Cuccaro adder's
 //     UMA triple each collapse to a single kernel. A fused op keeps one
@@ -41,10 +39,9 @@ import (
 	"revft/internal/rng"
 )
 
-// WideState is the K-word generalization of State: wire w occupies the
-// Words consecutive uint64s starting at w·Words, and bit j of word k of a
-// wire is the wire's value in trial lane 64k+j. Words = 1 is layout-
-// identical to State.
+// WideState is a K-word lane block: wire w occupies the Words
+// consecutive uint64s starting at w·Words, and bit j of word k of a wire
+// is the wire's value in trial lane 64k+j.
 type WideState struct {
 	Words int
 	W     []uint64
@@ -76,9 +73,8 @@ func (s WideState) Reset() {
 func (s WideState) Wire(w int) []uint64 { return s.W[w*s.Words : (w+1)*s.Words] }
 
 // EncodeBlock writes the logical lane values vals (lane 64k+j in bit j of
-// vals[k]) onto every wire of a codeword block, the K-word analogue of
-// Encode: in a noiseless repetition codeword every wire carries the
-// logical bit.
+// vals[k]) onto every wire of a codeword block: in a noiseless
+// repetition codeword every wire carries the logical bit.
 func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 	for _, w := range wires {
 		copy(s.Wire(w), vals[:s.Words])
@@ -86,8 +82,7 @@ func (s WideState) EncodeBlock(wires []int, vals []uint64) {
 }
 
 // DecodeBlock recursively majority-decodes a level-L block of 3^L wires
-// lane-wise into out, the K-word analogue of Decode. out must have Words
-// words.
+// lane-wise into out. out must have Words words.
 func (s WideState) DecodeBlock(wires []int, out []uint64) {
 	if !isPowerOfThree(len(wires)) {
 		panic(fmt.Sprintf("lanes: DecodeBlock got %d wires, not a power of three", len(wires)))
@@ -160,7 +155,7 @@ const (
 // widePoint is one fault-injection point of a wide op: after its sub-step
 // executes, each lane independently faults with its sampler's probability,
 // and a faulting lane's bits on the wmask-selected targets are replaced
-// with uniform random bits — the same randomizing channel as Program.
+// with uniform random bits — the randomizing channel of sim.RunNoisy.
 type widePoint struct {
 	sampler int32 // index into WideProgram.samplers; -1 when p = 0
 	src     int32 // source-circuit op index, for per-location telemetry
@@ -186,9 +181,9 @@ type wideSampler struct {
 }
 
 // WideProgram is a circuit compiled for the wide engine under a fixed
-// noise model and block width. Like Program it is immutable after
-// CompileWide and safe for concurrent use by multiple goroutines, each
-// with its own WideState and RNG.
+// noise model and block width. It is immutable after CompileWide and safe
+// for concurrent use by multiple goroutines, each with its own WideState
+// and RNG.
 type WideProgram struct {
 	width, words int
 	ops          []wideOp
@@ -229,8 +224,7 @@ type srcOp struct {
 
 // CompileWide lowers c for the wide engine under noise model m with words
 // 64-lane words per wire. Fault probabilities outside [0, 1] clamp,
-// matching Compile. CompileWide(c, m, 1) computes the same process as
-// Compile(c, m), just through the fused interpreter.
+// matching rng.Bool.
 func CompileWide(c *circuit.Circuit, m noise.Model, words int) *WideProgram {
 	if words < 1 {
 		panic(fmt.Sprintf("lanes: CompileWide needs at least 1 word per wire, got %d", words))
@@ -487,8 +481,7 @@ func (p *WideProgram) RunNoiseless(st WideState) {
 
 // Run executes the program on st under the compiled noise model, drawing
 // randomness from r, and returns the total number of (source op, lane)
-// fault events. Like Program.RunInstr, the count covers every simulated
-// lane slot of the block, including slots a harness later discards as
+// fault events. The count covers every simulated lane slot of the block, including slots a harness later discards as
 // excess — see Instr for the slot-vs-trial distinction.
 func (p *WideProgram) Run(st WideState, r *rng.RNG) int {
 	return p.RunInstr(st, r, nil)
@@ -518,8 +511,7 @@ func geomGap(r *rng.RNG, logq float64) int64 {
 // have countdowns ≥ the block length takes the fast path — the whole
 // (possibly fused) kernel in one dispatch, countdowns decremented by one
 // block each. Otherwise the op replays sub-step by sub-step, walking each
-// fault point's faulting lanes with geometric skips exactly like the
-// 64-lane engine.
+// fault point's faulting lanes with geometric skips.
 func (p *WideProgram) RunInstr(st WideState, r *rng.RNG, in *Instr) int {
 	p.check(st)
 	w := st.W

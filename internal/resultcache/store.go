@@ -11,8 +11,8 @@
 // re-marshalled copy) is what makes a cache hit byte-identical to the
 // original computation's output.
 //
-// Writes go through the chaos.FS seam with the repo's checkpoint
-// discipline (CreateTemp → Write → Sync → Close → Rename → SyncDir →
+// Writes go through chaos.WriteFileAtomic, the repo's one durable write
+// path (CreateTemp → Write → Sync → Close → Rename → SyncDir →
 // stale-.tmp reclamation), so a crash mid-store leaves the previous
 // entry or the new one, never a torn mix. Reads recompute the content
 // hash and compare it, and check that the header's spec digest matches
@@ -160,7 +160,12 @@ func (st *Store) Put(ctx context.Context, digest string, meta Meta, payload []by
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	err = st.Retry.Do(ctx, func() error { return st.writeAtomic(path, data) })
+	err = st.Retry.Do(ctx, func() error {
+		if werr := chaos.WriteFileAtomic(st.fs(), path, data); werr != nil {
+			return fmt.Errorf("resultcache: %w", werr)
+		}
+		return nil
+	})
 	if err != nil {
 		st.Metrics.Counter("cache.store_errors").Inc()
 		return err
@@ -170,38 +175,6 @@ func (st *Store) Put(ctx context.Context, digest string, meta Meta, payload []by
 	st.Trace.EmitSpan("cache_store", span, map[string]any{
 		"digest": digest, "bytes": len(payload), "experiment": meta.Experiment,
 	})
-	return nil
-}
-
-// writeAtomic is the checkpoint write discipline against the store's FS.
-func (st *Store) writeAtomic(path string, data []byte) error {
-	fsys := st.fs()
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("resultcache: temp file for %s: %w", path, err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = fsys.Rename(tmp, path)
-	}
-	if werr != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("resultcache: write %s: %w", path, werr)
-	}
-	_ = fsys.SyncDir(dir)
-	if stale, gerr := fsys.Glob(filepath.Join(dir, filepath.Base(path)+".tmp*")); gerr == nil {
-		for _, s := range stale {
-			_ = fsys.Remove(s)
-		}
-	}
 	return nil
 }
 

@@ -49,8 +49,8 @@ type JobSpec struct {
 	// Trials is the Monte Carlo budget per estimate per point.
 	Trials int    `json:"trials"`
 	Seed   uint64 `json:"seed"`
-	// Engine selects the execution engine (scalar|lanes|lanes256|lanes512
-	// for the standard drivers).
+	// Engine selects the execution engine (one of exp.Engines for the
+	// standard drivers).
 	Engine string `json:"engine,omitempty"`
 	// MaxLevel and Bits parameterize the levels and adder experiments.
 	MaxLevel int `json:"maxlevel,omitempty"`

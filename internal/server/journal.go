@@ -179,3 +179,12 @@ func (j *Journal) Close() error {
 	j.f = nil
 	return err
 }
+
+// writeFileAtomic is chaos.WriteFileAtomic with the server's error prefix;
+// journal compaction, cache-hit results and merged results all use it.
+func writeFileAtomic(fsys chaos.FS, path string, data []byte) error {
+	if err := chaos.WriteFileAtomic(fsys, path, data); err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	return nil
+}

@@ -1,7 +1,7 @@
 package sim
 
 // Context-aware Monte Carlo engines: the cancellable, panic-isolating
-// counterparts of MonteCarlo, MonteCarloLanes, and MonteCarloWide. Long
+// counterparts of MonteCarlo and MonteCarloWide. Long
 // sweeps near threshold run minutes to hours, so these variants let a
 // deadline or SIGINT stop a run between trial batches and still hand back
 // the partial estimate accumulated so far, and they convert a panicking
@@ -130,22 +130,12 @@ func MonteCarloCtx(ctx context.Context, trials, workers int, seed uint64, trial 
 		})
 }
 
-// MonteCarloLanesCtx is MonteCarloLanes under a context, with the same
-// cancellation, partial-result, and panic-isolation semantics as
-// MonteCarloCtx. The context is checked between 64-lane batches. It is
-// the words = 1 case of the shared lane-block body, so its RNG
-// consumption, counting, and telemetry are exactly the pre-wide engine's.
-func MonteCarloLanesCtx(ctx context.Context, trials, workers int, seed uint64, batch BatchTrial) (Result, error) {
-	return monteCarloCtx(ctx, trials, workers, 64, seed,
-		wideBody(1, func(r *rng.RNG, hit []uint64) { hit[0] = batch(r) }))
-}
-
 // MonteCarloWideCtx runs trials independent lanes of batch on K-word lane
 // blocks (words words of 64 lanes each, so one batch call advances
 // 64·words trials), with MonteCarloCtx's cancellation, partial-result,
 // and panic-isolation semantics. Worker seeding follows MonteCarlo
 // exactly, so results are reproducible for a fixed (seed, workers, words).
-func MonteCarloWideCtx(ctx context.Context, trials, workers int, seed uint64, words int, batch WideBatchTrial) (Result, error) {
+func MonteCarloWideCtx(ctx context.Context, trials, workers int, seed uint64, words int, batch LaneBatch) (Result, error) {
 	if words < 1 {
 		return Result{}, fmt.Errorf("sim: wide engine needs at least 1 word per block, got %d", words)
 	}
@@ -165,7 +155,7 @@ func MonteCarloWideCtx(ctx context.Context, trials, workers int, seed uint64, wo
 // batch, which cannot know which of its slots the harness will discard —
 // so fault rates must be normalized by lanes.slots, not lanes.trials.
 // See lanes.Instr for the same contract at the engine level.
-func wideBody(words int, batch WideBatchTrial) func(r *rng.RNG, n int, stop func() bool, hits, done *int, wi *workerInstr) {
+func wideBody(words int, batch LaneBatch) func(r *rng.RNG, n int, stop func() bool, hits, done *int, wi *workerInstr) {
 	unit := 64 * words
 	return func(r *rng.RNG, n int, stop func() bool, hits, done *int, wi *workerInstr) {
 		// Lane batches are only microseconds each, so telemetry counts

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 
 	"revft/internal/bitvec"
@@ -71,23 +72,36 @@ func TestMonteCarloDeterminismContract(t *testing.T) {
 	})
 }
 
-func TestMonteCarloLanesDeterminismContract(t *testing.T) {
-	c := determinismCircuit()
-	m := noise.Uniform(0.02)
-	prog := lanes.Compile(c, m)
+// laneBatch is c's failure trial from the all-zero input on a words-wide
+// lane block.
+func laneBatch(c *circuit.Circuit, m noise.Model, words int) LaneBatch {
+	prog := lanes.CompileWide(c, m, words)
 	want := c.Eval(0)
-	checkHarnessDeterminism(t, "MonteCarloLanes", func(trials, workers int, seed uint64) stats.Bernoulli {
-		return MonteCarloLanes(trials, workers, seed, func(r *rng.RNG) uint64 {
-			st := lanes.NewState(c.Width())
-			prog.Run(st, r)
-			var fail uint64
+	return func(r *rng.RNG, hit []uint64) {
+		st := lanes.NewWideState(c.Width(), words)
+		prog.Run(st, r)
+		for k := range hit {
+			hit[k] = 0
 			for w := 0; w < c.Width(); w++ {
-				fail |= st[w] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
+				hit[k] |= st.Wire(w)[k] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
 			}
-			return fail
-		})
+		}
+	}
+}
+
+func checkWideDeterminism(t *testing.T, words int) {
+	t.Helper()
+	batch := laneBatch(determinismCircuit(), noise.Uniform(0.02), words)
+	checkHarnessDeterminism(t, fmt.Sprintf("MonteCarloWide(words=%d)", words), func(trials, workers int, seed uint64) stats.Bernoulli {
+		return MonteCarloWide(trials, workers, seed, words, batch)
 	})
 }
+
+// TestMonteCarloLanesDeterminismContract keeps its name from the retired
+// 64-lane harness; it checks the contract on one-word wide blocks.
+func TestMonteCarloLanesDeterminismContract(t *testing.T) { checkWideDeterminism(t, 1) }
+
+func TestMonteCarloWideDeterminismContract(t *testing.T) { checkWideDeterminism(t, 4) }
 
 // TestMonteCarloEnginesAgree pins the two harnesses against each other on
 // the same trial semantics: the scalar and lane estimates of one noisy
@@ -95,7 +109,6 @@ func TestMonteCarloLanesDeterminismContract(t *testing.T) {
 func TestMonteCarloEnginesAgree(t *testing.T) {
 	c := determinismCircuit()
 	m := noise.Uniform(0.02)
-	prog := lanes.Compile(c, m)
 	want := c.Eval(0)
 	const trials = 60000
 	scalar := MonteCarlo(trials, 4, 42, func(r *rng.RNG) bool {
@@ -103,15 +116,7 @@ func TestMonteCarloEnginesAgree(t *testing.T) {
 		RunNoisy(c, st, m, r)
 		return st.Uint(0, c.Width()) != want
 	})
-	lane := MonteCarloLanes(trials, 4, 42, func(r *rng.RNG) uint64 {
-		st := lanes.NewState(c.Width())
-		prog.Run(st, r)
-		var fail uint64
-		for w := 0; w < c.Width(); w++ {
-			fail |= st[w] ^ lanes.Broadcast(want>>uint(w)&1 == 1)
-		}
-		return fail
-	})
+	lane := MonteCarloWide(trials, 4, 42, 1, laneBatch(c, m, 1))
 	lo1, hi1 := scalar.Wilson(1.96)
 	lo2, hi2 := lane.Wilson(1.96)
 	if lo1 > hi2 || lo2 > hi1 {
@@ -119,23 +124,23 @@ func TestMonteCarloEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestMonteCarloLanesEdges(t *testing.T) {
-	allFail := func(*rng.RNG) uint64 { return ^uint64(0) }
-	if got := MonteCarloLanes(0, 4, 1, allFail); got.Trials != 0 {
+func TestMonteCarloWideEdges(t *testing.T) {
+	allFail := func(_ *rng.RNG, hit []uint64) { hit[0] = ^uint64(0) }
+	if got := MonteCarloWide(0, 4, 1, 1, allFail); got.Trials != 0 {
 		t.Fatalf("zero trials gave %v", got)
 	}
 	// Partial final batch: only the counted lanes contribute.
-	got := MonteCarloLanes(3, 16, 1, allFail)
+	got := MonteCarloWide(3, 16, 1, 1, allFail)
 	if got.Trials != 3 || got.Successes != 3 {
 		t.Fatalf("tiny run gave %v", got)
 	}
 	// workers <= 0 uses GOMAXPROCS.
-	got = MonteCarloLanes(100, 0, 1, func(*rng.RNG) uint64 { return 0 })
+	got = MonteCarloWide(100, 0, 1, 1, func(_ *rng.RNG, hit []uint64) { hit[0] = 0 })
 	if got.Trials != 100 || got.Successes != 0 {
 		t.Fatalf("auto workers gave %v", got)
 	}
 	// 7 workers, 1000 trials: remainder spread; every trial counted once.
-	got = MonteCarloLanes(1000, 7, 9, allFail)
+	got = MonteCarloWide(1000, 7, 9, 1, allFail)
 	if got.Successes != 1000 {
 		t.Fatalf("counted %d trials, want 1000", got.Successes)
 	}

@@ -7,47 +7,29 @@ import (
 	"revft/internal/stats"
 )
 
-// BatchTrial simulates 64 independent trial lanes at once and returns a
-// hit mask: bit j set means lane j's trial observed the counted event —
-// for these experiments, a logical failure. It must draw all randomness
-// from r.
-type BatchTrial func(r *rng.RNG) uint64
-
-// WideBatchTrial simulates 64·len(hit) independent trial lanes at once on
+// LaneBatch simulates 64·len(hit) independent trial lanes at once on
 // a K-word lane block, writing a hit mask into hit: bit j of hit[k] set
 // means lane 64k+j's trial observed the counted event. It must draw all
 // randomness from r and overwrite every word of hit — the harness reuses
 // the block across batches.
-type WideBatchTrial func(r *rng.RNG, hit []uint64)
+type LaneBatch func(r *rng.RNG, hit []uint64)
 
-// MonteCarloLanes is the 64-lane analogue of MonteCarlo: it runs trials
-// independent lanes of batch across workers goroutines and aggregates the
-// population count of the returned hit masks. Worker seeding follows
-// MonteCarlo exactly — one jumped xoshiro256** stream per worker derived
-// from seed — so results are reproducible for a fixed (seed, workers)
-// pair. The final batch of each worker may cover fewer than 64 trials;
-// its excess lanes are simulated but not counted, so every counted trial
-// runs exactly once. workers <= 0 selects GOMAXPROCS. A panic inside
-// batch propagates as a *TrialPanicError; use MonteCarloLanesCtx to
-// handle it as an error.
-func MonteCarloLanes(trials, workers int, seed uint64, batch BatchTrial) stats.Bernoulli {
-	res, err := MonteCarloLanesCtx(context.Background(), trials, workers, seed, batch)
-	if err != nil {
-		// The context never cancels, so the only possible error is a
-		// recovered trial panic. Re-raise it with its diagnostics.
-		panic(err)
-	}
-	return res.Bernoulli
-}
-
-// MonteCarloWide is the K-word lane-block analogue of MonteCarloLanes:
-// each batch advances 64·words trials. Partial final batches are masked
-// like MonteCarloLanes, so every counted trial runs exactly once; a panic
-// inside batch propagates as a *TrialPanicError, and a words < 1 is an
-// immediate panic. Use MonteCarloWideCtx for cancellation and errors.
-func MonteCarloWide(trials, workers int, seed uint64, words int, batch WideBatchTrial) stats.Bernoulli {
+// MonteCarloWide is the lane-block analogue of MonteCarlo: it runs trials
+// independent lanes of batch across workers goroutines, each batch
+// advancing 64·words trials, and aggregates the population count of the
+// returned hit masks. Worker seeding follows MonteCarlo exactly — one
+// jumped xoshiro256** stream per worker derived from seed — so results
+// are reproducible for a fixed (seed, workers, words). The final batch of
+// each worker may cover fewer trials than the block holds; its excess
+// lanes are simulated but not counted, so every counted trial runs
+// exactly once. workers <= 0 selects GOMAXPROCS. A panic inside batch
+// propagates as a *TrialPanicError, and a words < 1 is an immediate
+// panic. Use MonteCarloWideCtx for cancellation and errors.
+func MonteCarloWide(trials, workers int, seed uint64, words int, batch LaneBatch) stats.Bernoulli {
 	res, err := MonteCarloWideCtx(context.Background(), trials, workers, seed, words, batch)
 	if err != nil {
+		// The context never cancels, so the only possible errors are a
+		// recovered trial panic and a bad words. Re-raise with diagnostics.
 		panic(err)
 	}
 	return res.Bernoulli

@@ -6,10 +6,11 @@
 //   - RunInjected: deterministic fault injection from a noise.Plan, used to
 //     prove fault-tolerance claims exhaustively;
 //   - MonteCarlo: a parallel trial harness with per-worker RNG streams;
-//   - MonteCarloLanes: the same harness for 64-lane bit-sliced batch trials
-//     (see package lanes), for runs where trial count dominates.
+//   - MonteCarloWide: the same harness for bit-sliced batch trials on
+//     K-word lane blocks (see package lanes), for runs where trial count
+//     dominates.
 //
-// MonteCarloCtx and MonteCarloLanesCtx are the context-aware variants for
+// MonteCarloCtx and MonteCarloWideCtx are the context-aware variants for
 // long-running sweeps: cancellable between trial batches, returning the
 // partial estimate accumulated so far, and recovering trial panics into
 // typed, reproducible *TrialPanicError values.

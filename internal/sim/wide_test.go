@@ -2,38 +2,60 @@ package sim
 
 import (
 	"context"
+	"math/bits"
 	"testing"
 
 	"revft/internal/rng"
 	"revft/internal/telemetry"
 )
 
-// TestMonteCarloWideMatchesLanesAtOneWord pins the rerouting of the
-// 64-lane engine through the shared lane-block body: a words = 1 wide run
-// must be bit-identical to MonteCarloLanes for the same batch, seed, and
-// workers — same RNG stream, same counting, same partial-tail masking.
+// TestMonteCarloWideMatchesLanesAtOneWord pins the harness contract at
+// words = 1 against a sequential model of it: no more workers than
+// 64-lane batches, worker w draws from the (w+1)-th jump of
+// rng.New(seed), runs ceil(n_w/64) batches of its n_w trials, and counts
+// only the first n_w lanes. Any change to RNG consumption, work splitting
+// or tail masking breaks bit-identity.
 func TestMonteCarloWideMatchesLanesAtOneWord(t *testing.T) {
-	batch := func(r *rng.RNG) uint64 { return r.Uint64() }
+	batch := func(r *rng.RNG, hit []uint64) { hit[0] = r.Uint64() }
 	for _, trials := range []int{64, 130, 1000, 20011} {
 		for _, workers := range []int{1, 3} {
-			narrow := MonteCarloLanes(trials, workers, 42, batch)
-			wide := MonteCarloWide(trials, workers, 42, 1, func(r *rng.RNG, hit []uint64) {
-				hit[0] = batch(r)
-			})
-			if narrow != wide {
-				t.Fatalf("trials=%d workers=%d: lanes %+v, wide(1) %+v", trials, workers, narrow, wide)
+			got := MonteCarloWide(trials, workers, 42, 1, batch)
+			used := min(workers, (trials+63)/64)
+			master := rng.New(42)
+			hits := 0
+			for w := 0; w < used; w++ {
+				r := master.Jump()
+				n := trials / used
+				if w < trials%used {
+					n++
+				}
+				for ; n > 0; n -= 64 {
+					hit := []uint64{0}
+					batch(r, hit)
+					maskLanes(hit, n)
+					hits += bits.OnesCount64(hit[0])
+				}
+			}
+			if got.Trials != trials || got.Successes != hits {
+				t.Fatalf("trials=%d workers=%d: harness %+v, model %d hits", trials, workers, got, hits)
 			}
 		}
 	}
 }
 
-// TestMonteCarloLanesPartialBatchCountsExactTrials is the satellite
-// regression: with trials not a multiple of 64 and an all-hits batch, the
-// excess lanes of the final partial batch must be masked out, so the hit
-// count equals the trial count exactly.
+func allHits(r *rng.RNG, hit []uint64) {
+	for i := range hit {
+		hit[i] = ^uint64(0)
+	}
+}
+
+// TestMonteCarloLanesPartialBatchCountsExactTrials keeps its name from the
+// retired 64-lane harness: at words = 1, with trials not a multiple of 64
+// and an all-hits batch, the excess lanes of the final partial batch must
+// be masked out, so the hit count equals the trial count exactly.
 func TestMonteCarloLanesPartialBatchCountsExactTrials(t *testing.T) {
 	for _, trials := range []int{1, 63, 65, 130, 20011} {
-		res := MonteCarloLanes(trials, 1, 7, func(r *rng.RNG) uint64 { return ^uint64(0) })
+		res := MonteCarloWide(trials, 1, 7, 1, allHits)
 		if res.Trials != trials || res.Successes != trials {
 			t.Fatalf("trials=%d: counted %d trials, %d hits; want %d of each",
 				trials, res.Trials, res.Successes, trials)
@@ -45,11 +67,6 @@ func TestMonteCarloLanesPartialBatchCountsExactTrials(t *testing.T) {
 // the K-word engines: the partial final block's excess words and partial
 // word are both masked.
 func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
-	allHits := func(r *rng.RNG, hit []uint64) {
-		for i := range hit {
-			hit[i] = ^uint64(0)
-		}
-	}
 	for _, words := range []int{4, 8} {
 		for _, trials := range []int{1, 63, 64, 65, 64*words - 1, 64*words + 1, 1000, 20011} {
 			res := MonteCarloWide(trials, 1, 7, words, allHits)
@@ -58,25 +75,6 @@ func TestMonteCarloWidePartialBlockCountsExactTrials(t *testing.T) {
 					words, trials, res.Trials, res.Successes, trials)
 			}
 		}
-	}
-}
-
-// TestMonteCarloWideDeterminismContract mirrors the lanes contract: fixed
-// (seed, workers, words) reproduces exactly; changing the seed moves the
-// estimate.
-func TestMonteCarloWideDeterminismContract(t *testing.T) {
-	batch := func(r *rng.RNG, hit []uint64) {
-		for i := range hit {
-			hit[i] = r.Uint64() & r.Uint64() & r.Uint64() // p = 1/8 per lane
-		}
-	}
-	a := MonteCarloWide(30000, 4, 11, 4, batch)
-	b := MonteCarloWide(30000, 4, 11, 4, batch)
-	if a != b {
-		t.Fatalf("same spec, different results: %+v vs %+v", a, b)
-	}
-	if c := MonteCarloWide(30000, 4, 12, 4, batch); c == a {
-		t.Fatal("different seeds produced identical counts")
 	}
 }
 

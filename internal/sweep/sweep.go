@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"path/filepath"
 	"time"
 
 	"revft/internal/chaos"
@@ -202,58 +201,19 @@ type Checkpoint struct {
 // OS filesystem; see SaveFS.
 func (c *Checkpoint) Save(path string) error { return c.SaveFS(chaos.OS, path) }
 
-// SaveFS writes the checkpoint atomically and durably through fsys:
-// marshal to a temp file in the destination directory, fsync the file,
-// rename over path, then fsync the directory so the rename itself
-// survives power loss. A crash mid-write leaves the previous checkpoint
-// intact; a crash after the rename leaves the new one. There is no
-// window in which path names a truncated file.
-//
-// A successful save also sweeps up stale temp files a crashed earlier
-// writer left next to the checkpoint (a process killed between
-// CreateTemp and Rename orphans its temp file; only the next completed
-// save can safely reclaim it).
+// SaveFS writes the checkpoint atomically and durably through fsys with
+// chaos.WriteFileAtomic: a crash mid-write leaves the previous checkpoint
+// intact, a crash after the rename leaves the new one, and there is no
+// window in which path names a truncated file. A successful save also
+// sweeps up stale temp files a crashed earlier writer left next to the
+// checkpoint.
 func (c *Checkpoint) SaveFS(fsys chaos.FS, path string) error {
-	if fsys == nil {
-		fsys = chaos.OS
-	}
 	b, err := json.MarshalIndent(c, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: marshal checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("sweep: checkpoint temp file: %w", err)
-	}
-	tmp := f.Name()
-	_, werr := f.Write(append(b, '\n'))
-	if werr == nil {
-		// The fsync before rename is load-bearing: without it a power
-		// loss can commit the rename while the data blocks are still
-		// unwritten, leaving a truncated file under the final name.
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = fsys.Rename(tmp, path)
-	}
-	if werr != nil {
-		_ = fsys.Remove(tmp)
-		return fmt.Errorf("sweep: write checkpoint %s: %w", path, werr)
-	}
-	// Make the rename durable. Best-effort: some filesystems reject
-	// directory fsync, and the write itself already succeeded.
-	_ = fsys.SyncDir(dir)
-	// Reclaim orphans from crashed writers. Our own temp file was just
-	// renamed away, so anything still matching the pattern is stale.
-	// Best-effort: a failure here leaves litter, never a bad checkpoint.
-	if stale, gerr := fsys.Glob(filepath.Join(dir, filepath.Base(path)+".tmp*")); gerr == nil {
-		for _, s := range stale {
-			_ = fsys.Remove(s)
-		}
+	if err := chaos.WriteFileAtomic(fsys, path, append(b, '\n')); err != nil {
+		return fmt.Errorf("sweep: checkpoint: %w", err)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ type Manifest struct {
 	Tool       string    `json:"tool"`                  // producing command, e.g. "revft-mc"
 	Experiment string    `json:"experiment,omitempty"`  // experiment name
 	SpecDigest string    `json:"spec_digest,omitempty"` // sweep.Spec digest, when the run is a sweep
-	Engine     string    `json:"engine,omitempty"`      // "scalar" or "lanes"
+	Engine     string    `json:"engine,omitempty"`      // execution engine, e.g. "scalar" or "lanes256"
 	Seed       uint64    `json:"seed"`
 	Trials     int       `json:"trials,omitempty"`
 	Workers    int       `json:"workers,omitempty"`
