@@ -11,7 +11,8 @@
 // Lifecycle:
 //
 //	curl -X POST :8023/jobs -d '{"experiment":"recovery","gmin":1e-3,...}'
-//	curl :8023/jobs/<id>            # poll status
+//	curl ':8023/jobs/<id>?wait=30s' # status; returns as soon as the job
+//	                                # finishes (long-poll, capped at 30s)
 //	curl :8023/jobs/<id>/progress   # live trials/points done, per-shard
 //	                                # wall-time histograms, Wilson
 //	                                # half-width trajectory, ETA
@@ -200,6 +201,9 @@ func run(args []string) error {
 		return fmt.Errorf("listen: %w", err)
 	}
 	hs := &http.Server{Handler: srv.Handler()}
+	// Shutdown waits for in-flight requests; starting the drain with it
+	// releases every ?wait= long-poll instead of sitting out its wait.
+	hs.RegisterOnShutdown(srv.BeginDrain)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	log.Printf("serving on http://%s (data dir %s, %d workers)", ln.Addr(), *data, workers)
@@ -216,8 +220,9 @@ func run(args []string) error {
 
 	dctx, dcancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer dcancel()
-	// Stop the listener and in-flight requests first, then park the jobs:
-	// a request that lands mid-drain would only see typed 503s anyway.
+	// Stop the listener and in-flight requests first (Shutdown also begins
+	// the drain, see above), then wait for the jobs to park: a request
+	// that lands mid-drain would only see typed 503s anyway.
 	if err := hs.Shutdown(dctx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}

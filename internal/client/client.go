@@ -12,6 +12,10 @@
 //     Retry-After header when present.
 //   - terminal refusals (HTTP 400: the spec itself is wrong) surface
 //     immediately as a typed *APIError and are never retried.
+//   - Wait long-polls GET /jobs/{id}?wait=, so it returns within
+//     milliseconds of the job's terminal transition. Only a server that
+//     answers a long-poll early with a non-terminal status (one that
+//     ignores ?wait=, or one that is draining) is polled at PollInterval.
 package client
 
 import (
@@ -22,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"time"
@@ -46,7 +51,9 @@ type Client struct {
 	// floored by the server's Retry-After. Defaults 200ms / 10s.
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// PollInterval spaces Wait's status polls; <= 0 selects 300ms.
+	// PollInterval spaces Wait's fallback polls, made only when a status
+	// request came back non-terminal without long-polling; <= 0 selects
+	// 300ms.
 	PollInterval time.Duration
 	// Seed makes the backoff jitter deterministic for tests; 0 seeds
 	// from the spec digest at first use.
@@ -273,26 +280,42 @@ func (c *Client) adopt(ctx context.Context, digest string) (server.JobStatus, bo
 	return best, found
 }
 
-// Status polls one job's status (single try, no retry).
-func (c *Client) Status(ctx context.Context, id string) (server.JobStatus, error) {
-	var st server.JobStatus
-	err := c.do(ctx, http.MethodGet, "/jobs/"+id, nil, &st)
-	return st, err
+// longPollWait is how long each of Wait's status requests asks the
+// server to hold it: under server.MaxStatusWait, and under the HTTP
+// client's Timeout by longPoll.
+const longPollWait = 20 * time.Second
+
+// longPoll returns the ?wait= for Wait's status requests: longPollWait,
+// or half the HTTP client's Timeout when that is shorter, so the request
+// never times out while the server holds it.
+func (c *Client) longPoll() time.Duration {
+	d := longPollWait
+	if t := c.httpClient().Timeout; t > 0 && t/2 < d {
+		d = t / 2
+	}
+	return d
 }
 
-// Wait polls until the job is terminal, retrying transient poll errors
+// Wait long-polls until the job is terminal, retrying transient errors
 // within the attempt budget (the budget resets on every successful
-// poll). It returns the terminal status; a non-done terminal state is a
+// request). A non-terminal answer that came back before the long-poll or
+// PollInterval ran out, whichever is shorter, means the server did not
+// hold the request; only then does Wait sleep PollInterval before asking
+// again. It returns the terminal status; a non-done terminal state is a
 // *JobFailedError.
 func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) {
 	poll := c.PollInterval
 	if poll <= 0 {
 		poll = 300 * time.Millisecond
 	}
+	lp := c.longPoll()
+	path := "/jobs/" + id + "?" + url.Values{"wait": {lp.String()}}.Encode()
 	fails := 0
 	var last error
 	for {
-		st, err := c.Status(ctx, id)
+		asked := time.Now()
+		var st server.JobStatus
+		err := c.do(ctx, http.MethodGet, path, nil, &st)
 		switch {
 		case err == nil:
 			fails = 0
@@ -302,6 +325,11 @@ func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) 
 				}
 				return st, nil
 			}
+			if time.Since(asked) >= min(lp, poll) {
+				continue // the server held the request: ask again at once
+			}
+		case ctx.Err() != nil:
+			return server.JobStatus{}, ctx.Err()
 		default:
 			if retry, _ := isRetryable(err); !retry {
 				return server.JobStatus{}, err

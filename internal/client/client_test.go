@@ -319,3 +319,171 @@ func TestRunAgainstRealServer(t *testing.T) {
 		t.Fatalf("resubmit result differs:\n%s\nvs\n%s", data2, data)
 	}
 }
+
+// sleepyDriver is fakeDriver with a fixed wall time per point, so a job's
+// duration is known in advance.
+func sleepyDriver(per time.Duration) server.Driver {
+	return func(spec server.JobSpec, grid []float64) (sweep.PointFunc, int, error) {
+		inner, n, err := fakeDriver(spec, grid)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func(ctx context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+			select {
+			case <-time.After(per):
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return inner(ctx, pt, chunk, trials)
+		}, n, nil
+	}
+}
+
+// realServer serves a server.Server with the fake and sleepy experiments
+// on a loopback test listener.
+func realServer(t *testing.T, per time.Duration) *httptest.Server {
+	t.Helper()
+	srv, err := server.New(server.Config{
+		DataDir:     t.TempDir(),
+		Drivers:     map[string]server.Driver{"fake": fakeDriver, "sleepy": sleepyDriver(per)},
+		PoolWorkers: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Close()
+	})
+	return ts
+}
+
+// Against a server that ignores ?wait= and answers at once, Wait falls
+// back to polls spaced by PollInterval: no busy loop.
+func TestWaitFallbackPollsAreSpaced(t *testing.T) {
+	api := &fakeAPI{jobs: []server.JobStatus{{ID: "job-1", State: server.StateRunning}}}
+	var gets int
+	mux := http.NewServeMux()
+	mux.Handle("/", api.handler())
+	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		api.mu.Lock()
+		gets++
+		api.mu.Unlock()
+		api.handler().ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	time.AfterFunc(200*time.Millisecond, func() {
+		api.mu.Lock()
+		api.jobs[0].State = server.StateDone
+		api.mu.Unlock()
+	})
+
+	c := fastClient(ts.URL)
+	c.PollInterval = 20 * time.Millisecond
+	start := time.Now()
+	st, err := c.Wait(context.Background(), "job-1")
+	elapsed := time.Since(start)
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("Wait = %+v, %v", st, err)
+	}
+	api.mu.Lock()
+	defer api.mu.Unlock()
+	if limit := int(elapsed/c.PollInterval) + 2; gets > limit {
+		t.Fatalf("%d status requests in %v, want at most %d (elapsed/PollInterval + 2)", gets, elapsed, limit)
+	}
+}
+
+// Against a real server, Run of a ~50 ms job returns within milliseconds
+// of the done transition with the default PollInterval: the long-poll,
+// not the 300 ms fallback spacing, paces Wait. The best of three runs
+// (fresh seeds, so none is a cache hit or an adoption) must beat 150 ms,
+// which keeps a loaded test host from failing it while a Wait that slept
+// even once would take over 300 ms on every run.
+func TestRunReturnsWhenJobFinishes(t *testing.T) {
+	ts := realServer(t, 10*time.Millisecond)
+	c := &Client{BaseURL: ts.URL}
+	best := time.Hour
+	for i := 0; i < 3; i++ {
+		spec := testSpec()
+		spec.Experiment, spec.Points, spec.Shards, spec.Seed = "sleepy", 5, 1, uint64(100+i)
+		start := time.Now()
+		st, data, err := c.Run(context.Background(), spec)
+		took := time.Since(start)
+		if err != nil || st.State != server.StateDone || len(data) == 0 {
+			t.Fatalf("Run = %+v, %d bytes, %v", st, len(data), err)
+		}
+		best = min(best, took)
+	}
+	if best >= 150*time.Millisecond {
+		t.Fatalf("best Run of a ~50ms job took %v, want < 150ms", best)
+	}
+}
+
+// Cancelling the context while a long-poll is outstanding returns the
+// context error promptly, not after the poll's wait.
+func TestWaitCancelDuringLongPoll(t *testing.T) {
+	ts := realServer(t, time.Hour)
+	c := &Client{BaseURL: ts.URL}
+	spec := testSpec()
+	spec.Experiment = "sleepy"
+	st, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	_, err = c.Wait(ctx, st.ID)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Wait = %v, want context.Canceled", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Wait returned %v after the cancel at 50ms", took)
+	}
+}
+
+// A Client.HTTP with a short Timeout shortens the long-poll under it, so
+// no status request ever times out: with a one-attempt budget a single
+// timeout would fail Wait.
+func TestWaitShortHTTPTimeout(t *testing.T) {
+	ts := realServer(t, 100*time.Millisecond)
+	c := &Client{BaseURL: ts.URL, HTTP: &http.Client{Timeout: 150 * time.Millisecond}, MaxAttempts: 1}
+	spec := testSpec()
+	spec.Experiment, spec.Points, spec.Shards = "sleepy", 5, 1
+	st, err := c.Submit(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err = c.Wait(context.Background(), st.ID)
+	if err != nil || st.State != server.StateDone {
+		t.Fatalf("Wait = %+v, %v", st, err)
+	}
+}
+
+// Transient status errors still spend the attempt budget: a server that
+// answers every status request 503 fails Wait after MaxAttempts tries.
+func TestWaitTransientErrorsSpendAttempts(t *testing.T) {
+	var gets int
+	var mu sync.Mutex
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		gets++
+		mu.Unlock()
+		writeJSONTest(w, http.StatusServiceUnavailable, map[string]string{"error": "draining", "reason": "synthetic"})
+	}))
+	defer ts.Close()
+	c := fastClient(ts.URL)
+	c.MaxAttempts = 3
+	_, err := c.Wait(context.Background(), "job-1")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {
+		t.Fatalf("Wait = %v, want the wrapped 503", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if gets != 3 {
+		t.Fatalf("%d status requests, want 3 (MaxAttempts)", gets)
+	}
+}

@@ -1,22 +1,29 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
+	"time"
 
 	"revft/internal/telemetry"
 )
+
+// MaxStatusWait caps the ?wait= long-poll of GET /jobs/{id}; longer
+// requested waits are clamped to it.
+const MaxStatusWait = 30 * time.Second
 
 // Handler returns the server's HTTP API:
 //
 //	POST   /jobs               submit a JobSpec, get 202 + JobStatus
 //	GET    /jobs               list all jobs (?digest=<spec digest>
 //	                           filters — the idempotency lookup)
-//	GET    /jobs/{id}          poll one job's status
+//	GET    /jobs/{id}          one job's status (?wait=<dur> long-polls)
 //	GET    /jobs/{id}/result   fetch a completed job's result.json
 //	GET    /jobs/{id}/trace    fetch a job's JSONL trace
 //	GET    /jobs/{id}/metrics  merged cross-shard telemetry snapshot
@@ -31,6 +38,19 @@ import (
 // overload and quota, 400 for bad specs, 503 while draining) with a JSON
 // body carrying the machine-readable code. Unknown job IDs are 404s on
 // every per-job route, including metrics and progress.
+//
+// # Long-poll
+//
+// GET /jobs/{id}?wait=<dur> takes a Go duration ("30s", "250ms") and
+// holds the request until the job reaches a terminal state, the duration
+// runs out, the client goes away, or the server begins draining —
+// whichever comes first — and then answers 200 with the job's current
+// status, terminal or not. Waits above MaxStatusWait (30s) are clamped
+// to it; a malformed or negative value is a typed 400 invalid_wait that
+// never blocks, and wait=0 or no wait answers at once. Draining releases
+// every outstanding long-poll at once (see Server.BeginDrain), so a
+// shutdown never sits out a wait. internal/client's Wait long-polls and
+// falls back to spaced plain polls against a server that answers early.
 //
 // # Backoff contract
 //
@@ -130,8 +150,41 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Jobs())
 }
 
+// parseStatusWait reads the optional ?wait= long-poll duration, clamped
+// to limit. Absent means 0: answer at once.
+func parseStatusWait(q url.Values, limit time.Duration) (time.Duration, error) {
+	if !q.Has("wait") {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(q.Get("wait"))
+	if err != nil {
+		return 0, err
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("wait %s: need 0 or a positive duration", d)
+	}
+	return min(d, limit), nil
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	st, err := s.Job(r.PathValue("id"))
+	wait, err := parseStatusWait(r.URL.Query(), s.statusWaitCap)
+	if err != nil {
+		writeError(w, reject(CodeInvalidWait, http.StatusBadRequest, "%v", err))
+		return
+	}
+	var st JobStatus
+	if wait > 0 {
+		ctx, cancel := context.WithTimeout(r.Context(), wait)
+		st, err = s.Wait(ctx, r.PathValue("id"))
+		cancel()
+		if !errors.Is(err, ErrNotFound) {
+			// Timeout, a gone client, drain or failure: the answer is the
+			// job's status as it stands.
+			err = nil
+		}
+	} else {
+		st, err = s.Job(r.PathValue("id"))
+	}
 	if err != nil {
 		writeError(w, err)
 		return

@@ -284,6 +284,8 @@ const (
 	CodeTenantJobQuota    = "tenant_job_quota"
 	CodeTenantTrialQuota  = "tenant_trial_quota"
 	CodeServerFailed      = "server_failed"
+	// CodeInvalidWait refuses a malformed ?wait= on GET /jobs/{id}.
+	CodeInvalidWait = "invalid_wait"
 )
 
 // RejectError is the typed admission rejection: a submission the server

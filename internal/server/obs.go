@@ -100,10 +100,12 @@ type shardObs struct {
 	// reg is the current attempt's live registry; base the metrics
 	// snapshot loaded from the shard checkpoint at attempt start (covering
 	// the points the attempt resumes); final the point-boundary snapshot
-	// the attempt's outcome carried when it ended.
-	reg   *telemetry.Registry
-	base  *telemetry.Snapshot
-	final *telemetry.Snapshot
+	// the attempt's outcome carried when it ended. pointWall keeps final's
+	// sweep.point_seconds histogram once release has dropped final.
+	reg       *telemetry.Registry
+	base      *telemetry.Snapshot
+	final     *telemetry.Snapshot
+	pointWall *telemetry.HistogramSnapshot
 }
 
 // snapshotLocked returns the shard's best merged metrics view: the exact
@@ -130,6 +132,20 @@ func (so *shardObs) snapshotLocked() (telemetry.Snapshot, bool) {
 		}
 	}
 	return s, true
+}
+
+// pointWallLocked returns the shard's per-point wall-time histogram, or
+// ok=false while it has no observations.
+func (so *shardObs) pointWallLocked() (telemetry.HistogramSnapshot, bool) {
+	if so.pointWall != nil {
+		return *so.pointWall, true
+	}
+	snap, ok := so.snapshotLocked()
+	if !ok {
+		return telemetry.HistogramSnapshot{}, false
+	}
+	h, ok := snap.Histograms["sweep.point_seconds"]
+	return h, ok && h.Count > 0
 }
 
 // jobObs is a job's observability plane, created at admission. It has its
@@ -298,6 +314,29 @@ func (o *jobObs) finished(k int, state string, final *telemetry.Snapshot) {
 	}
 }
 
+// release drops the final snapshot of every shard that ended done,
+// keeping its point wall-time histogram for /progress. The snapshot is
+// the one the shard's last checkpoint holds (the sweep runner reports a
+// shard complete only after that save lands), so JobMetrics reads it
+// from disk instead, exactly as for a job replayed terminal. Shards that
+// ended failed or parked keep theirs: their checkpoints may lag it.
+func (o *jobObs) release() {
+	if o == nil {
+		return
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for _, so := range o.shards {
+		if so.state != "done" || so.final == nil {
+			continue
+		}
+		if h, ok := so.pointWallLocked(); ok {
+			so.pointWall = &h
+		}
+		so.final = nil
+	}
+}
+
 // merged folds every shard's current snapshot into one and reports which
 // shard indices contributed, so callers can fill the gaps from disk.
 func (o *jobObs) merged() (telemetry.Snapshot, map[int]bool, error) {
@@ -427,14 +466,11 @@ func (s *Server) Progress(id string) (JobProgress, error) {
 			QueueWaitSeconds: so.queueWait,
 			Trajectory:       so.trajectory,
 		}
-		if snap, ok := so.snapshotLocked(); ok {
-			if h, hok := snap.Histograms["sweep.point_seconds"]; hok && h.Count > 0 {
-				hc := h
-				sp.PointWall = &hc
-				sp.AvgPointSeconds = h.Sum / float64(h.Count)
-				if remaining := sp.PointsTotal - sp.PointsDone; remaining > 0 && so.state == "running" {
-					sp.EtaSeconds = float64(remaining) * sp.AvgPointSeconds
-				}
+		if h, ok := so.pointWallLocked(); ok {
+			sp.PointWall = &h
+			sp.AvgPointSeconds = h.Sum / float64(h.Count)
+			if remaining := sp.PointsTotal - sp.PointsDone; remaining > 0 && so.state == "running" {
+				sp.EtaSeconds = float64(remaining) * sp.AvgPointSeconds
 			}
 		}
 		jp.PointsDone += sp.PointsDone

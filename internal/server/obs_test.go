@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -391,5 +392,90 @@ func TestSanitizeTenant(t *testing.T) {
 		if got := sanitizeTenant(in); got != want {
 			t.Errorf("sanitizeTenant(%q) = %q, want %q", in, got, want)
 		}
+	}
+}
+
+// TestFinishedJobHoldsOnlyServedState: a terminal job drops its driver
+// closure, merged shard points, trace handle and its done shards' final
+// snapshots, while every read API answers as before — JobMetrics exactly
+// as after a restart replays the job, /progress with each shard's queue
+// wait, wall-time histogram and trajectory, /metrics with the trial
+// counters conserved.
+func TestFinishedJobHoldsOnlyServedState(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Drivers: map[string]Driver{"counting": countingDriver}, PoolWorkers: 2}
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	spec.Experiment = "counting"
+	st, err := a.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, a, st.ID)
+
+	a.mu.Lock()
+	j := a.jobs[st.ID]
+	if j.fn != nil || j.shardRes != nil || j.trace != nil {
+		t.Errorf("done job keeps fn %v, shardRes %v, trace %v", j.fn != nil, j.shardRes != nil, j.trace != nil)
+	}
+	if j.tracePath == "" {
+		t.Error("done job lost its trace path")
+	}
+	obs := j.obs
+	a.mu.Unlock()
+	obs.mu.Lock()
+	for k, so := range obs.shards {
+		if so.state != "done" || so.final != nil || so.reg != nil || so.base != nil {
+			t.Errorf("shard %d: state %s, final %v, reg %v, base %v", k, so.state, so.final != nil, so.reg != nil, so.base != nil)
+		}
+	}
+	obs.mu.Unlock()
+
+	data, err := a.Result(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := resultTrials(t, data)
+	if got := a.MetricsSnapshot().Counters["fake.trials"]; got != trials {
+		t.Errorf("/metrics fake.trials = %d, want %d", got, trials)
+	}
+	prog, err := a.Progress(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range prog.ShardProgress {
+		if sp.QueueWaitSeconds <= 0 || sp.PointWall == nil || sp.PointWall.Count != int64(sp.PointsTotal) ||
+			len(sp.Trajectory) != sp.PointsTotal || sp.AvgPointSeconds <= 0 {
+			t.Errorf("shard %d progress = %+v", sp.Shard, sp)
+		}
+	}
+	if path, err := a.TracePath(st.ID); err != nil || path == "" {
+		t.Errorf("TracePath = %q, %v", path, err)
+	}
+	live, err := a.JobMetrics(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Counters["fake.trials"] != trials {
+		t.Errorf("JobMetrics fake.trials = %d, want %d", live.Counters["fake.trials"], trials)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	replayed, err := b.JobMetrics(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(live, replayed) {
+		t.Errorf("JobMetrics differs after replay:\n live:     %+v\n replayed: %+v", live, replayed)
 	}
 }

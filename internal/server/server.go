@@ -108,6 +108,9 @@ var (
 )
 
 // job is the server-internal job state; JobStatus is its client view.
+// finishLocked releases what only execution needs — fn, shardRes, trace
+// and the done shards' final snapshots — so a terminal job holds just
+// the state its read APIs serve.
 type job struct {
 	id          string
 	spec        JobSpec
@@ -139,7 +142,10 @@ type job struct {
 	cancel context.CancelFunc
 	timer  *time.Timer
 	trace  *telemetry.FileTrace
-	doneCh chan struct{}
+	// tracePath outlives trace: GET /jobs/{id}/trace serves the file
+	// after the job ends ("" when the trace degraded before creation).
+	tracePath string
+	doneCh    chan struct{}
 
 	// span roots the job's causal trace tree (request → job → shard →
 	// point); obs is its observability plane (per-shard registries,
@@ -158,16 +164,19 @@ func (j *job) emit(typ string, fields map[string]any) {
 	}
 }
 
-func (j *job) sweepTrace() *telemetry.Trace {
-	if j.trace == nil {
-		return nil
-	}
-	return j.trace.Trace
-}
-
 type shardTask struct {
 	j *job
 	k int
+}
+
+// claimedShard is a shard task a worker took off the queue, with the
+// job's point function and trace copied under the server mutex: the shard
+// runs unlocked and may outlive the job's terminal transition, which
+// releases both.
+type claimedShard struct {
+	shardTask
+	fn    sweep.PointFunc
+	trace *telemetry.Trace
 }
 
 type tenantUsage struct {
@@ -187,6 +196,8 @@ type Server struct {
 	stopRun context.CancelFunc
 	wg      sync.WaitGroup
 	fatalCh chan struct{}
+	// statusWaitCap clamps the ?wait= long-poll of GET /jobs/{id}.
+	statusWaitCap time.Duration
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -197,6 +208,8 @@ type Server struct {
 	active   int
 	tenants  map[string]*tenantUsage
 	draining bool
+	// drained records that Drain ran; BeginDrain alone leaves it false.
+	drained  bool
 	fatalErr error
 	// classActive counts admitted-but-unfinished jobs per priority
 	// class; attempts tracks live shard execution attempts (the
@@ -297,15 +310,16 @@ func New(cfg Config) (*Server, error) {
 	}
 	journal.metrics = cfg.Metrics
 	s := &Server{
-		cfg:      cfg,
-		fs:       cfg.FS,
-		journal:  journal,
-		manifest: telemetry.Collect("revft-server"),
-		fatalCh:  make(chan struct{}),
-		jobs:     make(map[string]*job),
-		tenants:  make(map[string]*tenantUsage),
-		attempts: make(map[*attemptCtl]struct{}),
-		health:   HealthHealthy,
+		cfg:           cfg,
+		fs:            cfg.FS,
+		journal:       journal,
+		manifest:      telemetry.Collect("revft-server"),
+		fatalCh:       make(chan struct{}),
+		statusWaitCap: MaxStatusWait,
+		jobs:          make(map[string]*job),
+		tenants:       make(map[string]*tenantUsage),
+		attempts:      make(map[*attemptCtl]struct{}),
+		health:        HealthHealthy,
 	}
 	s.shardSeconds = cfg.ShardSecondsEstimate
 	if cfg.Cache != nil {
@@ -482,6 +496,7 @@ func (s *Server) admitLocked(j *job) {
 		Metrics: s.cfg.Metrics, Retry: s.cfg.Retry,
 	}); err == nil {
 		j.trace = ft
+		j.tracePath = ft.Path
 	}
 	j.emit("job_admitted", j.span.Tag(map[string]any{
 		"job": j.id, "tenant": j.spec.Tenant, "experiment": j.spec.Experiment,
@@ -769,7 +784,7 @@ func (s *Server) worker() {
 // next blocks for a runnable shard task, claimed in weighted priority
 // order. It returns ok=false when the server is draining (or fatally
 // failed) and the queues hold no more work for this worker.
-func (s *Server) next() (shardTask, bool) {
+func (s *Server) next() (claimedShard, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -804,19 +819,23 @@ func (s *Server) next() (shardTask, bool) {
 				rec := Record{Seq: s.nextSeqLocked(), Type: recStarted, Job: j.id, At: time.Now().UTC()}
 				if err := s.journal.Append(rec); err != nil {
 					s.fatalLocked(err)
-					return shardTask{}, false
+					return claimedShard{}, false
 				}
 				j.state = StateRunning
 			}
 			j.running++
+			c := claimedShard{shardTask: t, fn: j.fn}
+			if j.trace != nil {
+				c.trace = j.trace.Trace
+			}
 			s.updateGaugesLocked()
 			wait := j.obs.claimed(t.k, time.Now())
 			s.cfg.Metrics.Histogram("server.queue_wait_seconds", telemetry.WallBuckets).Observe(wait)
 			s.cfg.Metrics.Histogram("server.queue_wait_seconds."+classNames[j.class], telemetry.WallBuckets).Observe(wait)
-			return t, true
+			return c, true
 		}
 		if s.draining || s.fatalErr != nil {
-			return shardTask{}, false
+			return claimedShard{}, false
 		}
 		s.cond.Wait()
 	}
@@ -827,7 +846,7 @@ func (s *Server) next() (shardTask, bool) {
 // point completed before the panic, so a retry resumes instead of
 // recomputing, and the original per-point seeds keep the eventual result
 // bit-identical.
-func (s *Server) runShard(t shardTask) {
+func (s *Server) runShard(t claimedShard) {
 	j := t.j
 	spec := s.shardSpec(j, t.k)
 	ckPath := filepath.Join(s.jobDir(j.id), fmt.Sprintf("shard-%03d.json", t.k))
@@ -863,7 +882,7 @@ func (s *Server) runShard(t shardTask) {
 			fields["stall_points_done"] = se.PointsDone
 			fields["stall_idle_seconds"] = se.Idle.Seconds()
 		}
-		j.emit("shard_retry", sspan.Tag(fields))
+		t.trace.Emit("shard_retry", sspan.Tag(fields))
 		s.logf("job %s shard %d: retrying after %v", j.id, t.k, err)
 	}
 
@@ -907,11 +926,11 @@ func (s *Server) runShard(t shardTask) {
 			}()
 			r := &sweep.Runner{
 				Spec:           spec,
-				Point:          shardPointFunc(j.fn, t.k, j.shards),
+				Point:          shardPointFunc(t.fn, t.k, j.shards),
 				CheckpointPath: ckPath,
 				Resume:         resume,
 				Metrics:        reg,
-				Trace:          j.sweepTrace(),
+				Trace:          t.trace,
 				FS:             s.fs,
 				Retry:          s.cfg.Retry,
 				Span:           sspan,
@@ -980,13 +999,17 @@ func (s *Server) shardFinished(j *job, k int, out *sweep.Outcome, err error, wal
 	case err == nil && out != nil && out.Complete:
 		s.observeShardSecondsLocked(wallSeconds)
 		j.obs.finished(k, "done", outMetrics)
-		j.shardRes[k] = out.Done
 		j.shardsDone++
 		j.emit("shard_done", sspan.Tag(map[string]any{
 			"job": j.id, "shard": k, "points": len(out.Done), "resumed_points": out.Resumed,
 		}))
-		if j.shardsDone == j.shards && !j.state.Terminal() {
-			s.completeLocked(j)
+		// A job cancelled or deadlined while this shard finished has
+		// already released its merge state; there is nothing to merge.
+		if !j.state.Terminal() {
+			j.shardRes[k] = out.Done
+			if j.shardsDone == j.shards {
+				s.completeLocked(j)
+			}
 		}
 	case j.state.Terminal():
 		// Cancelled or deadlined underneath us; the terminal transition
@@ -1112,7 +1135,8 @@ func (j *job) mergeResult() (*Result, error) {
 }
 
 // finishLocked journals and applies a terminal transition, releases the
-// job's quota and timer, and closes its trace.
+// job's quota and timer, closes its trace, and drops the execution state
+// no read API serves.
 func (s *Server) finishLocked(j *job, st State, errText string) {
 	if j.state.Terminal() {
 		return
@@ -1157,6 +1181,12 @@ func (s *Server) finishLocked(j *job, st State, errText string) {
 	if j.trace != nil {
 		_ = j.trace.Close()
 	}
+	// Release the driver closure (with its compiled circuits), the merged
+	// shard points and the closed trace, and the done shards' final
+	// snapshots, which JobMetrics re-reads from their checkpoints: in
+	// memory a terminal job then looks like one replayed from the journal.
+	j.fn, j.shardRes, j.trace = nil, nil, nil
+	j.obs.release()
 	s.cfg.Metrics.Counter("server.jobs_" + string(st)).Inc()
 	s.cfg.Metrics.Counter("server.tenant." + s.tlabels.label(j.spec.Tenant) + ".jobs_" + string(st)).Inc()
 	s.updateGaugesLocked()
@@ -1265,15 +1295,12 @@ func (s *Server) Result(id string) ([]byte, error) {
 // before creation).
 func (s *Server) TracePath(id string) (string, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j := s.jobs[id]
-	s.mu.Unlock()
 	if j == nil {
 		return "", ErrNotFound
 	}
-	if j.trace == nil {
-		return "", nil
-	}
-	return j.trace.Path, nil
+	return j.tracePath, nil
 }
 
 // Wait blocks until the job reaches a terminal state, the context ends,
@@ -1303,18 +1330,31 @@ func (s *Server) Wait(ctx context.Context, id string) (JobStatus, error) {
 	return st, werr
 }
 
-// Drain is the graceful shutdown: stop admitting, cancel the run context
-// so every in-flight shard flushes its checkpoint at the next point
-// boundary, wait for the pool, flush traces, and close the journal.
-// Running jobs stay journaled non-terminal — a restarted server resumes
-// them bit-identically — and ctx bounds how long the drain may take.
-func (s *Server) Drain(ctx context.Context) error {
+// BeginDrain starts the graceful shutdown without waiting for it: the
+// server stops admitting, cancels the run context so every in-flight
+// shard parks at its next point boundary, and releases every Wait —
+// hence every ?wait= long-poll — with the job's current status. It is
+// idempotent. Drain calls it first; an HTTP front end registers it with
+// http.Server.RegisterOnShutdown, because Shutdown waits for in-flight
+// requests and would otherwise sit out each long-poll's full wait.
+func (s *Server) BeginDrain() {
 	s.mu.Lock()
-	already := s.draining
 	s.draining = true
 	s.mu.Unlock()
 	s.stopRun()
 	s.cond.Broadcast()
+}
+
+// Drain is the graceful shutdown: BeginDrain, then wait for the pool,
+// flush traces, and close the journal. Running jobs stay journaled
+// non-terminal — a restarted server resumes them bit-identically — and
+// ctx bounds how long the drain may take.
+func (s *Server) Drain(ctx context.Context) error {
+	s.mu.Lock()
+	already := s.drained
+	s.drained = true
+	s.mu.Unlock()
+	s.BeginDrain()
 	if already {
 		return errors.New("server: already draining")
 	}

@@ -304,6 +304,61 @@ func TestCancelIsJournaled(t *testing.T) {
 	}
 }
 
+// TestShardCompletingAfterCancel: a shard whose point ignores the
+// cancellation and completes after the job went terminal finds the job's
+// merge state released; it must be booked without touching it, and the
+// job stays cancelled with no result.
+func TestShardCompletingAfterCancel(t *testing.T) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, 1)
+	deaf := func(spec JobSpec, grid []float64) (sweep.PointFunc, int, error) {
+		inner, n, err := fakeDriver(spec, grid)
+		if err != nil {
+			return nil, 0, err
+		}
+		return func(_ context.Context, pt, chunk, trials int) ([]stats.Bernoulli, error) {
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			<-gate
+			return inner(context.Background(), pt, chunk, trials)
+		}, n, nil
+	}
+	s := newTestServer(t, func(c *Config) { c.Drivers["deaf"] = deaf })
+	spec := testSpec()
+	spec.Experiment, spec.Points, spec.Shards, spec.GMax = "deaf", 1, 1, spec.GMin
+	st, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if _, err := s.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		p, err := s.Progress(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.ShardProgress[0].State != "running" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the shard never finished after the gate opened")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got, _ := s.Job(st.ID); got.State != StateCancelled {
+		t.Fatalf("job = %+v, want cancelled", got)
+	}
+	if _, err := s.Result(st.ID); !errors.Is(err, ErrNotDone) {
+		t.Fatalf("Result = %v, want ErrNotDone", err)
+	}
+}
+
 func TestJobDeadline(t *testing.T) {
 	gate := make(chan struct{})
 	defer close(gate)
